@@ -28,8 +28,9 @@ int main() {
 
   const std::size_t total_runs = runs(100);
   const std::uint64_t batch_seed = master.split().next();
+  ParallelRunner runner(worker_threads());
   const auto batch = run_sc_trials(g, 0, total_runs, timer, 100, batch_seed,
-                                   worker_threads());
+                                   runner);
 
   Series s{"sc_l100", {}, {}};
   RunningStats quality;

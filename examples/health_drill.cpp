@@ -110,7 +110,7 @@ int main() {
   flight.install_signal_dump();
   dog.start();
 
-  ParallelRunner runner(4, 8);
+  ParallelRunner runner(4);
   ShardedWalkEngine engine(sharded, runner, &registry);
   engine.set_heartbeat(&heartbeat);
   const TourBatch batch = [&] {
@@ -132,7 +132,7 @@ int main() {
   // its steps would land on the sink and muddy the zero-residue story.
   cost_ledger.uninstall();
   ::unsetenv("OVERCOUNT_INJECT_SUPERSTEP_DELAY_US");
-  ParallelRunner bare_runner(4, 8);
+  ParallelRunner bare_runner(4);
   ShardedWalkEngine bare(sharded, bare_runner);
   const TourBatch reference =
       bare.run_tours(0, walks, [](NodeId) { return 1.0; }, kSeed);

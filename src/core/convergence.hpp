@@ -16,8 +16,10 @@
 // runs on its own stream exactly as in the unmonitored batch, so every
 // per-walk result and every reduced aggregate of the returned batch is
 // BIT-IDENTICAL to run_tours_size / run_sc_trials of the same (seed, m) —
-// at any thread count, kernel width and recording interval. Only the
-// BatchStats timings differ (the monitored run stops the clock to record).
+// at any thread count and recording interval. Only the BatchStats timings
+// differ (the monitored run stops the clock to record). Like the plain
+// batch, a monitored run charges its steps, walks and CPU to the caller's
+// cost context once, at the end.
 // Running estimates at interior points use the same pairwise tree reduction
 // over the task-order prefix, so the trajectory itself is reproducible too.
 #pragma once
@@ -39,7 +41,8 @@ namespace overcount {
 /// NaN and the trajectory is still useful against `truth`.
 struct ConvergenceOptions {
   /// Walks per recording interval; 0 picks ~50 snapshots across the batch
-  /// (at least one kernel width per interval, so the hot path stays hot).
+  /// (at least one kernel width per interval, so each interval fills the
+  /// kernel's lanes).
   std::size_t interval = 0;
   double delta = 0.05;       ///< confidence failure probability (RT bound)
   double lambda2 = 0.0;      ///< spectral gap of the overlay, when known
@@ -50,11 +53,10 @@ struct ConvergenceOptions {
 
 namespace detail {
 
-inline std::size_t resolve_interval(std::size_t configured, std::size_t m,
-                                    std::size_t width) {
+inline std::size_t resolve_interval(std::size_t configured, std::size_t m) {
   if (configured != 0) return configured;
   const std::size_t by_count = (m + 49) / 50;  // ~50 snapshots
-  return std::max(width, by_count);
+  return std::max(kDefaultKernelWidth, by_count);
 }
 
 /// eps(m) = sqrt(2 d_bar / (lambda2 m delta)); NaN when inputs are unknown.
@@ -75,6 +77,27 @@ inline double sc_half_width(std::size_t ell, std::uint64_t trials) {
                           static_cast<double>(trials));
 }
 
+/// Runs walks [0, m) through run_chunks one recording interval at a
+/// time, calling `record(done)` after each. Each walk runs on its own stream
+/// exactly as in the plain batch, so the interval boundaries cannot perturb
+/// any walk; `stats` accumulates the dispatch timings of every interval.
+template <typename Chunk, typename Record>
+void run_intervals(ParallelRunner& runner, std::size_t m,
+                   std::size_t interval, const Chunk& chunk,
+                   BatchStats& stats, Record&& record) {
+  for (std::size_t done = 0; done < m;) {
+    const std::size_t group = std::min(interval, m - done);
+    BatchStats group_stats;
+    run_chunks<NullProbe>(runner, done, done + group, chunk, group_stats);
+    done += group;
+    stats.wall_seconds += group_stats.wall_seconds;
+    stats.cpu_seconds += group_stats.cpu_seconds;
+    stats.threads = group_stats.threads;
+    record(done);
+  }
+  stats.tasks = m;
+}
+
 }  // namespace detail
 
 /// Random Tour size batch with convergence recording: bit-identical batch
@@ -92,62 +115,29 @@ TourBatch run_tours_size_converging(const G& g, NodeId origin, std::size_t m,
   TourBatch batch;
   batch.tours.resize(m);
   auto streams = derive_streams(seed, m);
-  const std::size_t width = resolved_kernel_width(runner.kernel_width());
-  const std::size_t interval = detail::resolve_interval(opts.interval, m,
-                                                        width);
   auto f = [](NodeId) { return 1.0; };
   std::uint64_t steps_spent = 0;
   std::vector<double> completed_prefix;  // completed estimates, task order
   completed_prefix.reserve(m);
   std::size_t next_prefix = 0;
-  for (std::size_t done = 0; done < m;) {
-    const std::size_t group = std::min(interval, m - done);
-    BatchStats group_stats;
-    // Each walk runs on streams[its task index] exactly as in run_tours, so
-    // the interval boundaries cannot perturb any walk.
-    if (width > 1 && group >= width) {
-      runner.run<char>(
-          detail::kernel_chunk_count(group, width),
-          [&](std::size_t c) {
-            const std::size_t begin = done + c * width;
-            const std::size_t count = std::min(width, done + group - begin);
-            tour_kernel(g, origin, f,
-                        std::span<Rng>(streams).subspan(begin, count),
-                        std::span<TourEstimate>(batch.tours)
-                            .subspan(begin, count),
-                        count, max_steps);
-            return char{0};
-          },
-          &group_stats);
-    } else {
-      runner.run<char>(
-          group,
-          [&](std::size_t i) {
-            batch.tours[done + i] =
-                random_tour(g, origin, f, streams[done + i], max_steps);
-            return char{0};
-          },
-          &group_stats);
-    }
-    done += group;
-    batch.stats.wall_seconds += group_stats.wall_seconds;
-    batch.stats.cpu_seconds += group_stats.cpu_seconds;
-    batch.stats.threads = group_stats.threads;
-    for (; next_prefix < done; ++next_prefix) {
-      steps_spent += batch.tours[next_prefix].steps;
-      if (batch.tours[next_prefix].completed)
-        completed_prefix.push_back(batch.tours[next_prefix].value);
-    }
-    const double estimate =
-        completed_prefix.empty()
-            ? std::numeric_limits<double>::quiet_NaN()
-            : tree_sum(completed_prefix) /
-                  static_cast<double>(completed_prefix.size());
-    recorder.record(done, steps_spent, estimate,
-                    detail::rt_half_width(opts, done));
-  }
+  detail::run_intervals(
+      runner, m, detail::resolve_interval(opts.interval, m),
+      detail::tour_chunk(g, origin, f, streams, batch.tours, max_steps),
+      batch.stats, [&](std::size_t done) {
+        for (; next_prefix < done; ++next_prefix) {
+          steps_spent += batch.tours[next_prefix].steps;
+          if (batch.tours[next_prefix].completed)
+            completed_prefix.push_back(batch.tours[next_prefix].value);
+        }
+        const double estimate =
+            completed_prefix.empty()
+                ? std::numeric_limits<double>::quiet_NaN()
+                : tree_sum(completed_prefix) /
+                      static_cast<double>(completed_prefix.size());
+        recorder.record(done, steps_spent, estimate,
+                        detail::rt_half_width(opts, done));
+      });
   detail::finish_tour_batch(batch);
-  batch.stats.tasks = m;
   return batch;
 }
 
@@ -167,68 +157,24 @@ ScBatch run_sc_converging(const G& g, NodeId origin, std::size_t trials,
   ScBatch batch;
   batch.trials.resize(trials);
   auto streams = derive_streams(seed, trials);
-  const std::size_t width = resolved_kernel_width(runner.kernel_width());
-  const std::size_t interval = detail::resolve_interval(opts.interval,
-                                                        trials, width);
   std::uint64_t hops_spent = 0;
   std::vector<double> simple_prefix;
   simple_prefix.reserve(trials);
   std::size_t next_prefix = 0;
-  for (std::size_t done = 0; done < trials;) {
-    const std::size_t group = std::min(interval, trials - done);
-    BatchStats group_stats;
-    if (width > 1 && group >= width) {
-      runner.run<char>(
-          detail::kernel_chunk_count(group, width),
-          [&](std::size_t c) {
-            const std::size_t begin = done + c * width;
-            const std::size_t count = std::min(width, done + group - begin);
-            std::vector<ScTrialRaw> raw(count);
-            sc_kernel(g, origin, timer, ell,
-                      std::span<Rng>(streams).subspan(begin, count),
-                      std::span<ScTrialRaw>(raw), count);
-            for (std::size_t j = 0; j < count; ++j)
-              batch.trials[begin + j] =
-                  detail::finalize_sc_trial(raw[j], ell);
-            return char{0};
-          },
-          &group_stats);
-    } else {
-      runner.run<char>(
-          group,
-          [&](std::size_t i) {
-            SampleCollideEstimator estimator(g, origin, timer, ell,
-                                             streams[done + i]);
-            batch.trials[done + i] = estimator.estimate();
-            return char{0};
-          },
-          &group_stats);
-    }
-    done += group;
-    batch.stats.wall_seconds += group_stats.wall_seconds;
-    batch.stats.cpu_seconds += group_stats.cpu_seconds;
-    batch.stats.threads = group_stats.threads;
-    for (; next_prefix < done; ++next_prefix) {
-      hops_spent += batch.trials[next_prefix].hops;
-      simple_prefix.push_back(batch.trials[next_prefix].simple);
-    }
-    recorder.record(done, hops_spent,
-                    tree_sum(simple_prefix) /
-                        static_cast<double>(simple_prefix.size()),
-                    detail::sc_half_width(ell, done));
-  }
-  std::vector<double> simple, ml;
-  simple.reserve(trials);
-  ml.reserve(trials);
-  for (const auto& t : batch.trials) {
-    batch.total_hops += t.hops;
-    simple.push_back(t.simple);
-    ml.push_back(t.ml);
-  }
-  batch.sum_simple = tree_sum(simple);
-  batch.sum_ml = tree_sum(ml);
-  batch.stats.steps = batch.total_hops;
-  batch.stats.tasks = trials;
+  detail::run_intervals(
+      runner, trials, detail::resolve_interval(opts.interval, trials),
+      detail::sc_chunk(g, origin, timer, ell, streams, batch.trials),
+      batch.stats, [&](std::size_t done) {
+        for (; next_prefix < done; ++next_prefix) {
+          hops_spent += batch.trials[next_prefix].hops;
+          simple_prefix.push_back(batch.trials[next_prefix].simple);
+        }
+        recorder.record(done, hops_spent,
+                        tree_sum(simple_prefix) /
+                            static_cast<double>(simple_prefix.size()),
+                        detail::sc_half_width(ell, done));
+      });
+  detail::finish_sc_batch(batch);
   return batch;
 }
 

@@ -1,32 +1,31 @@
 // Batch front-ends for the paper's estimators, fanned across a
 // ParallelRunner (src/runtime/): a batch of m independent Random Tours,
-// CTRW samples, Sample & Collide trials, or Metropolis walks runs one task
-// per trial, each on the `Rng::split()` stream indexed by its task id.
+// CTRW samples, Sample & Collide trials, or Metropolis walks, each walk on
+// the `Rng::split()` stream indexed by its position in the batch.
 //
 // Reproducibility contract: for a fixed (graph, origin, parameters, seed)
 // the returned batch — every per-trial result AND every reduced aggregate —
-// is bit-identical for any `n_threads`, including 1. Per-trial results are
-// stored by task index and floating-point aggregates go through the fixed
-// pairwise tree reduction of runtime/parallel_runner.hpp, so scheduling
-// never leaks into the numbers.
+// is bit-identical for any runner thread count, including 1. Per-trial
+// results are stored by walk index and floating-point aggregates go through
+// the fixed pairwise tree reduction of runtime/parallel_runner.hpp, so
+// scheduling never leaks into the numbers.
 //
 // Truncated tours (a `max_steps` abort) are excluded from the reduced
 // aggregates and reported via TourBatch::truncated instead of silently
 // biasing the mean — see TourEstimate::completed.
 //
-// Hot path: when the batch is at least one kernel width wide (W =
-// resolved_kernel_width(runner.kernel_width()), default 16, runner option /
-// OVERCOUNT_KERNEL_WIDTH), the tour, CTRW-sample and S&C batches run the
-// interleaved prefetching kernel of walk/kernel.hpp — each pool task
-// advances a W-wide chunk of walks round-robin instead of one walk at a
-// time. The kernel replays the scalar per-walk draw order exactly, results
-// land in the same task-index slots, and probed variants fold the same
-// per-walk WalkStats in the same order, so everything above stays
-// bit-identical whether the kernel, the scalar path, or any thread count
-// ran the batch (tests/walk/kernel_equivalence_test.cpp). Width 1 forces
-// the scalar path. Origins are validated unconditionally here at batch
-// entry; the per-step degree checks inside the walks compile out of plain
-// Release builds (OVERCOUNT_HOT_CHECKS, util/contracts.hpp).
+// One batch path: every tour, CTRW-sample and S&C batch (probed or not, and
+// the monitored runs of core/convergence.hpp) goes through detail::
+// run_chunks, which cuts the walks into chunks of kDefaultKernelWidth when
+// the batch fills one and into single walks otherwise, one pool task per
+// chunk. Every chunk runs the interleaved prefetching kernel of
+// walk/kernel.hpp, which replays the scalar per-walk draw order exactly, so
+// each result equals the scalar reference (random_tour, ctrw_sample,
+// SampleCollideEstimator) bit for bit, and probed batches fold the same
+// per-walk WalkStats (tests/walk/kernel_equivalence_test.cpp). Origins are
+// validated unconditionally at batch entry; the per-step degree checks
+// inside the walks compile out of plain Release builds
+// (OVERCOUNT_HOT_CHECKS, util/contracts.hpp).
 #pragma once
 
 #include <algorithm>
@@ -85,13 +84,20 @@ struct ScBatch {
   std::uint64_t total_hops = 0;
   BatchStats stats;
 
-  double mean_simple() const noexcept {
-    return trials.empty() ? 0.0
-                          : sum_simple / static_cast<double>(trials.size());
-  }
-  double mean_ml() const noexcept {
-    return trials.empty() ? 0.0
-                          : sum_ml / static_cast<double>(trials.size());
+  /// True when at least one trial ran, i.e. the means are usable size
+  /// estimates.
+  bool ok() const noexcept { return !trials.empty(); }
+
+  /// Means of the simple and ML estimates. NaN on an empty batch, like
+  /// TourBatch::mean — never 0.0, which reads as a tiny size; check ok()
+  /// first.
+  double mean_simple() const noexcept { return mean_of(sum_simple); }
+  double mean_ml() const noexcept { return mean_of(sum_ml); }
+
+ private:
+  double mean_of(double sum) const noexcept {
+    return ok() ? sum / static_cast<double>(trials.size())
+                : std::numeric_limits<double>::quiet_NaN();
   }
 };
 
@@ -114,12 +120,6 @@ inline WalkStats fold_walk_stats(std::span<const WalkStats> parts) {
   return out;
 }
 
-/// Number of width-sized kernel chunks covering a batch of m walks.
-inline constexpr std::size_t kernel_chunk_count(std::size_t m,
-                                                std::size_t width) {
-  return (m + width - 1) / width;
-}
-
 /// Applies the Section 4 estimator math to one raw kernel trial. The trial
 /// stopped at exactly `ell` collisions, so this reproduces bit-identically
 /// what SampleCollideEstimator::estimate computes from its tracker.
@@ -137,7 +137,85 @@ inline ScEstimate finalize_sc_trial(const ScTrialRaw& raw, std::size_t ell) {
   return out;
 }
 
-/// Fills the shared tail of TourBatch from the per-tour results.
+/// The one dispatch skeleton every batch runs through. Walks [begin, end)
+/// are cut into chunks of kDefaultKernelWidth walks when the range fills at
+/// least one, else into single walks; each chunk is one pool task calling
+/// `kernel(first, count, probes)`. For an enabled probe type P, `probes`
+/// holds one P per walk of the chunk, each recording into its own WalkStats,
+/// and `walk_out` receives their deterministic fold; for NullProbe the span
+/// is empty and `walk_out` unused. `stats` receives the dispatch counters,
+/// with `tasks` counting walks, not chunks.
+template <WalkProbe P, typename Kernel>
+void run_chunks(ParallelRunner& runner, std::size_t begin, std::size_t end,
+                const Kernel& kernel, BatchStats& stats,
+                WalkStats* walk_out = nullptr) {
+  const std::size_t m = end - begin;
+  const std::size_t width = m >= kDefaultKernelWidth ? kDefaultKernelWidth : 1;
+  std::vector<WalkStats> per_walk(probe_enabled_v<P> ? m : 0);
+  runner.run<char>(
+      (m + width - 1) / width,
+      [&](std::size_t c) {
+        const std::size_t first = begin + c * width;
+        const std::size_t count = std::min(width, end - first);
+        std::vector<P> probes;
+        if constexpr (probe_enabled_v<P>) {
+          probes.reserve(count);
+          for (std::size_t j = 0; j < count; ++j)
+            probes.emplace_back(per_walk[first - begin + j]);
+        }
+        kernel(first, count, std::span<P>(probes));
+        return char{0};
+      },
+      &stats);
+  stats.tasks = m;
+  if constexpr (probe_enabled_v<P>) *walk_out = fold_walk_stats(per_walk);
+}
+
+/// Chunk bodies for run_chunks: walks [first, first + count) on their own
+/// streams, results into their own slots.
+template <OverlayTopology G, typename F>
+auto tour_chunk(const G& g, NodeId origin, F& f, std::span<Rng> streams,
+                std::span<TourEstimate> out, std::uint64_t max_steps) {
+  return [&g, origin, &f, streams, out, max_steps](
+             std::size_t first, std::size_t count, auto probes) {
+    tour_kernel(g, origin, f, streams.subspan(first, count),
+                out.subspan(first, count), count, max_steps, probes);
+  };
+}
+
+template <OverlayTopology G>
+auto ctrw_chunk(const G& g, NodeId origin, double timer,
+                std::span<Rng> streams, std::span<SampleResult> out) {
+  return [&g, origin, timer, streams, out](std::size_t first,
+                                           std::size_t count, auto probes) {
+    ctrw_kernel(g, origin, timer, streams.subspan(first, count),
+                out.subspan(first, count), count, probes);
+  };
+}
+
+template <OverlayTopology G>
+auto sc_chunk(const G& g, NodeId origin, double timer, std::size_t ell,
+              std::span<Rng> streams, std::span<ScEstimate> out) {
+  return [&g, origin, timer, ell, streams, out](
+             std::size_t first, std::size_t count, auto probes) {
+    std::vector<ScTrialRaw> raw(count);
+    sc_kernel(g, origin, timer, ell, streams.subspan(first, count),
+              std::span<ScTrialRaw>(raw), count, probes);
+    for (std::size_t j = 0; j < count; ++j)
+      out[first + j] = finalize_sc_trial(raw[j], ell);
+  };
+}
+
+/// Batch epilogue shared by every batch: records the walk steps and charges
+/// steps, walks and CPU to the caller's cost context (the CostScope serve
+/// batches set; a no-op without an active ledger). Once per batch, never
+/// per step, and only after `stats` carries the batch's tasks and timings.
+inline void finish_batch_stats(BatchStats& stats, std::uint64_t steps) {
+  stats.steps = steps;
+  cost_charge_batch(stats.steps, stats.tasks, stats.cpu_seconds);
+}
+
+/// Fills the reduced tail of each batch kind from its per-walk results.
 inline void finish_tour_batch(TourBatch& batch) {
   std::vector<double> completed_values;
   completed_values.reserve(batch.tours.size());
@@ -151,59 +229,82 @@ inline void finish_tour_batch(TourBatch& batch) {
     }
   }
   batch.sum = tree_sum(completed_values);
-  batch.stats.steps = batch.total_steps;
+  finish_batch_stats(batch.stats, batch.total_steps);
+}
+
+inline void finish_sample_batch(SampleBatch& batch) {
+  for (const auto& s : batch.samples) batch.total_hops += s.hops;
+  finish_batch_stats(batch.stats, batch.total_hops);
+}
+
+inline void finish_sc_batch(ScBatch& batch) {
+  std::vector<double> simple, ml;
+  simple.reserve(batch.trials.size());
+  ml.reserve(batch.trials.size());
+  for (const auto& t : batch.trials) {
+    batch.total_hops += t.hops;
+    simple.push_back(t.simple);
+    ml.push_back(t.ml);
+  }
+  batch.sum_simple = tree_sum(simple);
+  batch.sum_ml = tree_sum(ml);
+  finish_batch_stats(batch.stats, batch.total_hops);
+}
+
+template <WalkProbe P, OverlayTopology G, typename F>
+TourBatch tour_batch(const G& g, NodeId origin, std::size_t m, F& f,
+                     std::uint64_t seed, ParallelRunner& runner,
+                     std::uint64_t max_steps, WalkStats* walk_out) {
+  OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
+  TourBatch batch;
+  batch.tours.resize(m);
+  auto streams = derive_streams(seed, m);
+  run_chunks<P>(runner, 0, m,
+                tour_chunk(g, origin, f, streams, batch.tours, max_steps),
+                batch.stats, walk_out);
+  finish_tour_batch(batch);
+  return batch;
+}
+
+template <WalkProbe P, OverlayTopology G>
+SampleBatch sample_batch(const G& g, NodeId origin, std::size_t m,
+                         double timer, std::uint64_t seed,
+                         ParallelRunner& runner, WalkStats* walk_out) {
+  OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
+  SampleBatch batch;
+  batch.samples.resize(m);
+  auto streams = derive_streams(seed, m);
+  run_chunks<P>(runner, 0, m,
+                ctrw_chunk(g, origin, timer, streams, batch.samples),
+                batch.stats, walk_out);
+  finish_sample_batch(batch);
+  return batch;
+}
+
+template <WalkProbe P, OverlayTopology G>
+ScBatch sc_batch(const G& g, NodeId origin, std::size_t trials, double timer,
+                 std::size_t ell, std::uint64_t seed, ParallelRunner& runner,
+                 WalkStats* walk_out) {
+  OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
+  ScBatch batch;
+  batch.trials.resize(trials);
+  auto streams = derive_streams(seed, trials);
+  run_chunks<P>(runner, 0, trials,
+                sc_chunk(g, origin, timer, ell, streams, batch.trials),
+                batch.stats, walk_out);
+  finish_sc_batch(batch);
+  return batch;
 }
 
 }  // namespace detail
 
-/// m independent Random Tours estimating sum_j f(j), on an existing pool.
+/// m independent Random Tours estimating sum_j f(j).
 template <OverlayTopology G, typename F>
 TourBatch run_tours(const G& g, NodeId origin, std::size_t m, F f,
                     std::uint64_t seed, ParallelRunner& runner,
                     std::uint64_t max_steps = ~0ULL) {
-  OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
-  TourBatch batch;
-  auto streams = derive_streams(seed, m);
-  const std::size_t width = resolved_kernel_width(runner.kernel_width());
-  if (width > 1 && m >= width) {
-    batch.tours.resize(m);
-    runner.run<char>(
-        detail::kernel_chunk_count(m, width),
-        [&](std::size_t c) {
-          const std::size_t begin = c * width;
-          const std::size_t count = std::min(width, m - begin);
-          tour_kernel(g, origin, f,
-                      std::span<Rng>(streams).subspan(begin, count),
-                      std::span<TourEstimate>(batch.tours)
-                          .subspan(begin, count),
-                      count, max_steps);
-          return char{0};
-        },
-        &batch.stats);
-    batch.stats.tasks = m;  // chunking is an implementation detail
-  } else {
-    batch.tours = runner.run<TourEstimate>(
-        m,
-        [&](std::size_t i) {
-          return random_tour(g, origin, f, streams[i], max_steps);
-        },
-        &batch.stats);
-  }
-  detail::finish_tour_batch(batch);
-  // Cost attribution rides the caller's CostScope (serve batches set one);
-  // one charge per batch, never per step. No-op without an active ledger.
-  cost_charge_batch(batch.stats.steps, batch.stats.tasks,
-                    batch.stats.cpu_seconds);
-  return batch;
-}
-
-/// m independent Random Tours on a throwaway pool of `n_threads` threads.
-template <OverlayTopology G, typename F>
-TourBatch run_tours(const G& g, NodeId origin, std::size_t m, F f,
-                    std::uint64_t seed, unsigned n_threads,
-                    std::uint64_t max_steps = ~0ULL) {
-  ParallelRunner runner(n_threads);
-  return run_tours(g, origin, m, f, seed, runner, max_steps);
+  return detail::tour_batch<NullProbe>(g, origin, m, f, seed, runner,
+                                       max_steps, nullptr);
 }
 
 /// m independent Random Tour size estimates (f = 1).
@@ -215,15 +316,7 @@ TourBatch run_tours_size(const G& g, NodeId origin, std::size_t m,
       g, origin, m, [](NodeId) { return 1.0; }, seed, runner, max_steps);
 }
 
-template <OverlayTopology G>
-TourBatch run_tours_size(const G& g, NodeId origin, std::size_t m,
-                         std::uint64_t seed, unsigned n_threads,
-                         std::uint64_t max_steps = ~0ULL) {
-  ParallelRunner runner(n_threads);
-  return run_tours_size(g, origin, m, seed, runner, max_steps);
-}
-
-/// m independent Random Tours with per-walk probe statistics: each task
+/// m independent Random Tours with per-walk probe statistics: each walk
 /// records into its own WalkStats (one WalkStatsProbe per tour, so revisit
 /// tracking stays walk-local) and `walk_out` receives the deterministic
 /// fold. The batch itself — every tour, the reduced sum, BatchStats — is
@@ -234,45 +327,8 @@ TourBatch run_tours_probed(const G& g, NodeId origin, std::size_t m, F f,
                            std::uint64_t seed, ParallelRunner& runner,
                            WalkStats& walk_out,
                            std::uint64_t max_steps = ~0ULL) {
-  OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
-  TourBatch batch;
-  auto streams = derive_streams(seed, m);
-  std::vector<WalkStats> per_task(m);
-  const std::size_t width = resolved_kernel_width(runner.kernel_width());
-  if (width > 1 && m >= width) {
-    batch.tours.resize(m);
-    runner.run<char>(
-        detail::kernel_chunk_count(m, width),
-        [&](std::size_t c) {
-          const std::size_t begin = c * width;
-          const std::size_t count = std::min(width, m - begin);
-          std::vector<WalkStatsProbe> probes;
-          probes.reserve(count);
-          for (std::size_t j = 0; j < count; ++j)
-            probes.emplace_back(per_task[begin + j]);
-          tour_kernel(g, origin, f,
-                      std::span<Rng>(streams).subspan(begin, count),
-                      std::span<TourEstimate>(batch.tours)
-                          .subspan(begin, count),
-                      count, max_steps, std::span<WalkStatsProbe>(probes));
-          return char{0};
-        },
-        &batch.stats);
-    batch.stats.tasks = m;
-  } else {
-    batch.tours = runner.run<TourEstimate>(
-        m,
-        [&](std::size_t i) {
-          WalkStatsProbe probe(per_task[i]);
-          return random_tour(g, origin, f, streams[i], max_steps, probe);
-        },
-        &batch.stats);
-  }
-  detail::finish_tour_batch(batch);
-  walk_out = detail::fold_walk_stats(per_task);
-  cost_charge_batch(batch.stats.steps, batch.stats.tasks,
-                    batch.stats.cpu_seconds);
-  return batch;
+  return detail::tour_batch<WalkStatsProbe>(g, origin, m, f, seed, runner,
+                                            max_steps, &walk_out);
 }
 
 /// Probed Random Tour size batch (f = 1).
@@ -286,62 +342,13 @@ TourBatch run_tours_size_probed(const G& g, NodeId origin, std::size_t m,
       max_steps);
 }
 
-template <OverlayTopology G>
-TourBatch run_tours_size_probed(const G& g, NodeId origin, std::size_t m,
-                                std::uint64_t seed, unsigned n_threads,
-                                WalkStats& walk_out,
-                                std::uint64_t max_steps = ~0ULL) {
-  ParallelRunner runner(n_threads);
-  return run_tours_size_probed(g, origin, m, seed, runner, walk_out,
-                               max_steps);
-}
-
 /// m independent CTRW samples (paper Section 4.1) from `origin`.
 template <OverlayTopology G>
 SampleBatch run_samples(const G& g, NodeId origin, std::size_t m,
                         double timer, std::uint64_t seed,
                         ParallelRunner& runner) {
-  OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
-  SampleBatch batch;
-  auto streams = derive_streams(seed, m);
-  const std::size_t width = resolved_kernel_width(runner.kernel_width());
-  if (width > 1 && m >= width) {
-    batch.samples.resize(m);
-    runner.run<char>(
-        detail::kernel_chunk_count(m, width),
-        [&](std::size_t c) {
-          const std::size_t begin = c * width;
-          const std::size_t count = std::min(width, m - begin);
-          ctrw_kernel(g, origin, timer,
-                      std::span<Rng>(streams).subspan(begin, count),
-                      std::span<SampleResult>(batch.samples)
-                          .subspan(begin, count),
-                      count);
-          return char{0};
-        },
-        &batch.stats);
-    batch.stats.tasks = m;
-  } else {
-    batch.samples = runner.run<SampleResult>(
-        m,
-        [&](std::size_t i) {
-          return ctrw_sample(g, origin, timer, streams[i]);
-        },
-        &batch.stats);
-  }
-  for (const auto& s : batch.samples) batch.total_hops += s.hops;
-  batch.stats.steps = batch.total_hops;
-  cost_charge_batch(batch.stats.steps, batch.stats.tasks,
-                    batch.stats.cpu_seconds);
-  return batch;
-}
-
-template <OverlayTopology G>
-SampleBatch run_samples(const G& g, NodeId origin, std::size_t m,
-                        double timer, std::uint64_t seed,
-                        unsigned n_threads) {
-  ParallelRunner runner(n_threads);
-  return run_samples(g, origin, m, timer, seed, runner);
+  return detail::sample_batch<NullProbe>(g, origin, m, timer, seed, runner,
+                                         nullptr);
 }
 
 /// m independent CTRW samples with per-walk probe statistics (see
@@ -350,46 +357,8 @@ template <OverlayTopology G>
 SampleBatch run_samples_probed(const G& g, NodeId origin, std::size_t m,
                                double timer, std::uint64_t seed,
                                ParallelRunner& runner, WalkStats& walk_out) {
-  OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
-  SampleBatch batch;
-  auto streams = derive_streams(seed, m);
-  std::vector<WalkStats> per_task(m);
-  const std::size_t width = resolved_kernel_width(runner.kernel_width());
-  if (width > 1 && m >= width) {
-    batch.samples.resize(m);
-    runner.run<char>(
-        detail::kernel_chunk_count(m, width),
-        [&](std::size_t c) {
-          const std::size_t begin = c * width;
-          const std::size_t count = std::min(width, m - begin);
-          std::vector<WalkStatsProbe> probes;
-          probes.reserve(count);
-          for (std::size_t j = 0; j < count; ++j)
-            probes.emplace_back(per_task[begin + j]);
-          ctrw_kernel(g, origin, timer,
-                      std::span<Rng>(streams).subspan(begin, count),
-                      std::span<SampleResult>(batch.samples)
-                          .subspan(begin, count),
-                      count, std::span<WalkStatsProbe>(probes));
-          return char{0};
-        },
-        &batch.stats);
-    batch.stats.tasks = m;
-  } else {
-    batch.samples = runner.run<SampleResult>(
-        m,
-        [&](std::size_t i) {
-          WalkStatsProbe probe(per_task[i]);
-          return ctrw_sample(g, origin, timer, streams[i], probe);
-        },
-        &batch.stats);
-  }
-  for (const auto& s : batch.samples) batch.total_hops += s.hops;
-  batch.stats.steps = batch.total_hops;
-  walk_out = detail::fold_walk_stats(per_task);
-  cost_charge_batch(batch.stats.steps, batch.stats.tasks,
-                    batch.stats.cpu_seconds);
-  return batch;
+  return detail::sample_batch<WalkStatsProbe>(g, origin, m, timer, seed,
+                                              runner, &walk_out);
 }
 
 /// `trials` independent Sample & Collide measurements, each sampling until
@@ -398,58 +367,8 @@ template <OverlayTopology G>
 ScBatch run_sc_trials(const G& g, NodeId origin, std::size_t trials,
                       double timer, std::size_t ell, std::uint64_t seed,
                       ParallelRunner& runner) {
-  OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
-  ScBatch batch;
-  auto streams = derive_streams(seed, trials);
-  const std::size_t width = resolved_kernel_width(runner.kernel_width());
-  if (width > 1 && trials >= width) {
-    batch.trials.resize(trials);
-    runner.run<char>(
-        detail::kernel_chunk_count(trials, width),
-        [&](std::size_t c) {
-          const std::size_t begin = c * width;
-          const std::size_t count = std::min(width, trials - begin);
-          std::vector<ScTrialRaw> raw(count);
-          sc_kernel(g, origin, timer, ell,
-                    std::span<Rng>(streams).subspan(begin, count),
-                    std::span<ScTrialRaw>(raw), count);
-          for (std::size_t j = 0; j < count; ++j)
-            batch.trials[begin + j] = detail::finalize_sc_trial(raw[j], ell);
-          return char{0};
-        },
-        &batch.stats);
-    batch.stats.tasks = trials;
-  } else {
-    batch.trials = runner.run<ScEstimate>(
-        trials,
-        [&](std::size_t i) {
-          SampleCollideEstimator estimator(g, origin, timer, ell, streams[i]);
-          return estimator.estimate();
-        },
-        &batch.stats);
-  }
-  std::vector<double> simple, ml;
-  simple.reserve(trials);
-  ml.reserve(trials);
-  for (const auto& t : batch.trials) {
-    batch.total_hops += t.hops;
-    simple.push_back(t.simple);
-    ml.push_back(t.ml);
-  }
-  batch.sum_simple = tree_sum(simple);
-  batch.sum_ml = tree_sum(ml);
-  batch.stats.steps = batch.total_hops;
-  cost_charge_batch(batch.stats.steps, batch.stats.tasks,
-                    batch.stats.cpu_seconds);
-  return batch;
-}
-
-template <OverlayTopology G>
-ScBatch run_sc_trials(const G& g, NodeId origin, std::size_t trials,
-                      double timer, std::size_t ell, std::uint64_t seed,
-                      unsigned n_threads) {
-  ParallelRunner runner(n_threads);
-  return run_sc_trials(g, origin, trials, timer, ell, seed, runner);
+  return detail::sc_batch<NullProbe>(g, origin, trials, timer, ell, seed,
+                                     runner, nullptr);
 }
 
 /// `trials` probed Sample & Collide measurements: the fold additionally
@@ -460,61 +379,12 @@ ScBatch run_sc_trials_probed(const G& g, NodeId origin, std::size_t trials,
                              double timer, std::size_t ell,
                              std::uint64_t seed, ParallelRunner& runner,
                              WalkStats& walk_out) {
-  OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
-  ScBatch batch;
-  auto streams = derive_streams(seed, trials);
-  std::vector<WalkStats> per_task(trials);
-  const std::size_t width = resolved_kernel_width(runner.kernel_width());
-  if (width > 1 && trials >= width) {
-    batch.trials.resize(trials);
-    runner.run<char>(
-        detail::kernel_chunk_count(trials, width),
-        [&](std::size_t c) {
-          const std::size_t begin = c * width;
-          const std::size_t count = std::min(width, trials - begin);
-          std::vector<WalkStatsProbe> probes;
-          probes.reserve(count);
-          for (std::size_t j = 0; j < count; ++j)
-            probes.emplace_back(per_task[begin + j]);
-          std::vector<ScTrialRaw> raw(count);
-          sc_kernel(g, origin, timer, ell,
-                    std::span<Rng>(streams).subspan(begin, count),
-                    std::span<ScTrialRaw>(raw), count,
-                    std::span<WalkStatsProbe>(probes));
-          for (std::size_t j = 0; j < count; ++j)
-            batch.trials[begin + j] = detail::finalize_sc_trial(raw[j], ell);
-          return char{0};
-        },
-        &batch.stats);
-    batch.stats.tasks = trials;
-  } else {
-    batch.trials = runner.run<ScEstimate>(
-        trials,
-        [&](std::size_t i) {
-          SampleCollideEstimator estimator(g, origin, timer, ell, streams[i]);
-          WalkStatsProbe probe(per_task[i]);
-          return estimator.estimate(probe);
-        },
-        &batch.stats);
-  }
-  std::vector<double> simple, ml;
-  simple.reserve(trials);
-  ml.reserve(trials);
-  for (const auto& t : batch.trials) {
-    batch.total_hops += t.hops;
-    simple.push_back(t.simple);
-    ml.push_back(t.ml);
-  }
-  batch.sum_simple = tree_sum(simple);
-  batch.sum_ml = tree_sum(ml);
-  batch.stats.steps = batch.total_hops;
-  walk_out = detail::fold_walk_stats(per_task);
-  cost_charge_batch(batch.stats.steps, batch.stats.tasks,
-                    batch.stats.cpu_seconds);
-  return batch;
+  return detail::sc_batch<WalkStatsProbe>(g, origin, trials, timer, ell,
+                                          seed, runner, &walk_out);
 }
 
 /// m independent Metropolis-Hastings samples of `steps` transitions each.
+/// No interleaved kernel exists for this walk: one scalar walk per task.
 template <OverlayTopology G>
 SampleBatch run_metropolis_samples(const G& g, NodeId origin, std::size_t m,
                                    std::uint64_t steps, std::uint64_t seed,
@@ -529,46 +399,7 @@ SampleBatch run_metropolis_samples(const G& g, NodeId origin, std::size_t m,
         return sampler.sample(origin);
       },
       &batch.stats);
-  for (const auto& s : batch.samples) batch.total_hops += s.hops;
-  batch.stats.steps = batch.total_hops;
-  cost_charge_batch(batch.stats.steps, batch.stats.tasks,
-                    batch.stats.cpu_seconds);
-  return batch;
-}
-
-template <OverlayTopology G>
-SampleBatch run_metropolis_samples(const G& g, NodeId origin, std::size_t m,
-                                   std::uint64_t steps, std::uint64_t seed,
-                                   unsigned n_threads) {
-  ParallelRunner runner(n_threads);
-  return run_metropolis_samples(g, origin, m, steps, seed, runner);
-}
-
-/// m probed Metropolis-Hastings samples: the fold additionally counts
-/// rejections (see run_tours_probed for the determinism contract).
-template <OverlayTopology G>
-SampleBatch run_metropolis_samples_probed(const G& g, NodeId origin,
-                                          std::size_t m, std::uint64_t steps,
-                                          std::uint64_t seed,
-                                          ParallelRunner& runner,
-                                          WalkStats& walk_out) {
-  OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
-  SampleBatch batch;
-  auto streams = derive_streams(seed, m);
-  std::vector<WalkStats> per_task(m);
-  batch.samples = runner.run<SampleResult>(
-      m,
-      [&](std::size_t i) {
-        MetropolisSampler sampler(g, steps, streams[i]);
-        WalkStatsProbe probe(per_task[i]);
-        return sampler.sample(origin, probe);
-      },
-      &batch.stats);
-  for (const auto& s : batch.samples) batch.total_hops += s.hops;
-  batch.stats.steps = batch.total_hops;
-  walk_out = detail::fold_walk_stats(per_task);
-  cost_charge_batch(batch.stats.steps, batch.stats.tasks,
-                    batch.stats.cpu_seconds);
+  detail::finish_sample_batch(batch);
   return batch;
 }
 

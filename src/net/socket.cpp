@@ -34,7 +34,12 @@ int poll_readable(int fd, int timeout_ms) {
 }  // namespace
 
 int listen_loopback(std::uint16_t port, int backlog) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  // Non-blocking: several acceptor threads poll one listener, and all of
+  // them wake for a single connection. The losers' accept() must fail with
+  // EAGAIN (accept_next's timeout path) instead of blocking until the next
+  // connection, which would also block stop() joining them. On Linux the
+  // accepted sockets do not inherit the flag.
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) return -1;
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));

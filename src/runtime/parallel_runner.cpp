@@ -22,8 +22,7 @@ double tree_sum(std::span<const double> xs) {
   return tree_reduce(xs, 0.0, [](double a, double b) { return a + b; });
 }
 
-ParallelRunner::ParallelRunner(unsigned n_threads, std::size_t kernel_width)
-    : kernel_width_(kernel_width) {
+ParallelRunner::ParallelRunner(unsigned n_threads) {
   if (n_threads == 0) n_threads = std::thread::hardware_concurrency();
   if (n_threads == 0) n_threads = 1;  // hardware_concurrency may report 0
   workers_.reserve(n_threads);

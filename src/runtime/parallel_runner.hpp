@@ -7,11 +7,15 @@
 // observation Das Sarma et al. exploit for distributed walks). The runner
 // preserves the library's reproducibility contract under that parallelism:
 //
-//  * Each task `i` draws from a stream derived by the i-th `Rng::split()`
+//  * Each walk `i` draws from a stream derived by the i-th `Rng::split()`
 //    of a master generator seeded from the batch seed — a pure function of
 //    (seed, i), never of scheduling.
 //  * Results land in slot `i` of the result vector, so the returned batch
 //    is BIT-IDENTICAL for any thread count, including 1.
+//
+// The runner knows nothing about walks: a task is an index. The estimator
+// batches (core/parallel.hpp) make each task one chunk of walks run by the
+// interleaved kernel of walk/kernel.hpp.
 //  * Floating-point accumulation over a batch goes through a fixed pairwise
 //    tree reduction (tree_sum below), never a scheduling-ordered sum.
 //
@@ -71,15 +75,7 @@ double tree_sum(std::span<const double> xs);
 class ParallelRunner {
  public:
   /// `n_threads == 0` means std::thread::hardware_concurrency().
-  /// `kernel_width` configures the interleaved walk kernel the batch APIs
-  /// (core/parallel.hpp) run per worker: 0 defers to the
-  /// OVERCOUNT_KERNEL_WIDTH environment variable and then the library
-  /// default (walk/kernel.hpp), 1 forces the scalar path, W >= 2 interleaves
-  /// W walks per task. The runner only stores the setting — resolution and
-  /// use live in the walk/core layers, so the runtime layer stays free of
-  /// walk dependencies.
-  explicit ParallelRunner(unsigned n_threads = 0,
-                          std::size_t kernel_width = 0);
+  explicit ParallelRunner(unsigned n_threads = 0);
   ~ParallelRunner();
 
   ParallelRunner(const ParallelRunner&) = delete;
@@ -87,12 +83,6 @@ class ParallelRunner {
 
   unsigned thread_count() const noexcept {
     return static_cast<unsigned>(workers_.size());
-  }
-
-  /// Configured interleave width (0 = resolve from environment/default).
-  std::size_t kernel_width() const noexcept { return kernel_width_; }
-  void set_kernel_width(std::size_t width) noexcept {
-    kernel_width_ = width;
   }
 
   /// Runs tasks 0..n_tasks-1, `task(i)` exactly once each, and returns the
@@ -126,7 +116,6 @@ class ParallelRunner {
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  std::size_t kernel_width_ = 0;
   std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;

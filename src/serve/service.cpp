@@ -110,7 +110,7 @@ EstimateService::EstimateService(GraphSource source, ServiceConfig config)
                                           : owned_metrics_.get()),
       m_(std::make_unique<Metrics>(*metrics_)),
       slo_(metrics_, nullptr, config_.slo),
-      runner_(config_.threads, config_.kernel_width),
+      runner_(config_.threads),
       planner_(config_.budget),
       queue_(config_.queue_capacity),
       epoch_(std::chrono::steady_clock::now()),
@@ -579,7 +579,7 @@ void EstimateService::run_and_deliver(const BatchPtr& batch) {
     } else {
       ScBatch trials = run_sc_trials(snap.graph, snap.origin, plan.walks,
                                      timer, config_.sc_ell, seed, runner_);
-      ok = !trials.trials.empty();
+      ok = trials.ok();
       value = trials.mean_simple();
       steps = trials.total_hops;
     }

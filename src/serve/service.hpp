@@ -60,10 +60,8 @@
 namespace overcount {
 
 struct ServiceConfig {
-  /// Runner shape for the batches (0 threads = hardware concurrency;
-  /// kernel_width as in runtime/parallel_runner.hpp).
+  /// Runner threads for the batches (0 = hardware concurrency).
   unsigned threads = 0;
-  std::size_t kernel_width = 0;
 
   /// Bounded broker queue: submissions beyond this depth are load-shed.
   std::size_t queue_capacity = 64;

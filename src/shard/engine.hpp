@@ -17,10 +17,10 @@
 // own carried Rng in scalar order, adjacency rows are verbatim copies
 // (shard_graph.hpp), accumulators add in scalar order, probe hooks fire in
 // scalar per-walk order, and results land in task-index slots feeding the
-// same finish_tour_batch / tree_sum / finalize_sc_trial reductions as
-// core/parallel.hpp. Hence a sharded batch is bit-identical to the
-// single-shard scalar/kernel batch for ANY (shard count, thread count,
-// kernel width) — proven by tests/shard/shard_equivalence_test.cpp.
+// same finalize_sc_trial and detail::finish_* batch epilogues as
+// core/parallel.hpp (which also charge the cost ledger). Hence a sharded
+// batch is bit-identical to the single-shard batch for ANY (shard count,
+// thread count) — proven by tests/shard/shard_equivalence_test.cpp.
 //
 // Segment stitching (opt-in, enable_stitching): on arrival at a boundary
 // node the engine splices a precomputed lambda-step segment
@@ -251,8 +251,9 @@ class ShardedWalkEngine {
       }
     });
 
+    stamp(batch.stats, m, timer);
     detail::finish_tour_batch(batch);
-    finalize(ctx, m, batch.total_steps, batch.stats, timer);
+    finalize(ctx, batch.stats);
     return batch;
   }
 
@@ -310,8 +311,9 @@ class ShardedWalkEngine {
       }
     });
 
-    for (const auto& r : batch.samples) batch.total_hops += r.hops;
-    finalize(ctx, m, batch.total_hops, batch.stats, timer);
+    stamp(batch.stats, m, timer);
+    detail::finish_sample_batch(batch);
+    finalize(ctx, batch.stats);
     return batch;
   }
 
@@ -422,17 +424,9 @@ class ShardedWalkEngine {
       }
     });
 
-    std::vector<double> simple, ml;
-    simple.reserve(trials);
-    ml.reserve(trials);
-    for (const auto& t : batch.trials) {
-      batch.total_hops += t.hops;
-      simple.push_back(t.simple);
-      ml.push_back(t.ml);
-    }
-    batch.sum_simple = tree_sum(simple);
-    batch.sum_ml = tree_sum(ml);
-    finalize(ctx, trials, batch.total_hops, batch.stats, timer);
+    stamp(batch.stats, trials, timer);
+    detail::finish_sc_batch(batch);
+    finalize(ctx, batch.stats);
     return batch;
   }
 
@@ -723,30 +717,28 @@ class ShardedWalkEngine {
           "remain in flight (token leak)");
   }
 
-  void finalize(BatchContext& ctx, std::size_t tasks, std::uint64_t steps,
-                BatchStats& stats, const BatchTimer& timer) {
-    ctx.stats.walks = tasks;
-    ctx.stats.total_steps = steps;
-    stats_ = ctx.stats;
+  /// Fills the batch counters the shared finish_* epilogue charges to the
+  /// cost ledger; runs before it.
+  void stamp(BatchStats& stats, std::size_t tasks,
+             const BatchTimer& timer) const {
     stats.tasks = tasks;
-    stats.steps = steps;
     stats.threads = runner_->thread_count();
     timer.fill(stats);
-    // Batch-granularity ledger charges (never per step — the hot loops stay
-    // untouched): totals to the context captured at entry. The tokens were
-    // already charged at thaw, one by one, via the id riding each token.
-    if (cost_active()) {
-      cost_charge_ctx(ctx.cost_ctx, CostField::kSteps, steps);
-      cost_charge_ctx(ctx.cost_ctx, CostField::kWalks,
-                      static_cast<std::uint64_t>(tasks));
-      cost_charge_ctx(ctx.cost_ctx, CostField::kHandoffs, stats_.handoffs);
-      cost_charge_ctx(ctx.cost_ctx, CostField::kStitches, stats_.stitches);
-      cost_charge_ctx(ctx.cost_ctx, CostField::kStitchSteps,
-                      stats_.stitch_steps);
-      cost_charge_ctx(ctx.cost_ctx, CostField::kCpuUs,
-                      static_cast<std::uint64_t>(stats.cpu_seconds * 1e6));
-    }
-    if (steps_m_ != nullptr) steps_m_->add(steps);
+  }
+
+  /// Publishes the shard counters of a finished batch. The shared epilogue
+  /// already charged steps, walks and CPU to the caller's cost context and
+  /// the tokens were charged one by one at thaw; this adds the shard-only
+  /// fields, to the context captured at entry.
+  void finalize(BatchContext& ctx, const BatchStats& stats) {
+    ctx.stats.walks = stats.tasks;
+    ctx.stats.total_steps = stats.steps;
+    stats_ = ctx.stats;
+    cost_charge_ctx(ctx.cost_ctx, CostField::kHandoffs, stats_.handoffs);
+    cost_charge_ctx(ctx.cost_ctx, CostField::kStitches, stats_.stitches);
+    cost_charge_ctx(ctx.cost_ctx, CostField::kStitchSteps,
+                    stats_.stitch_steps);
+    if (steps_m_ != nullptr) steps_m_->add(stats.steps);
     if (handoffs_m_ != nullptr) {
       handoffs_m_->add(stats_.handoffs);
       stitches_m_->add(stats_.stitches);
@@ -777,97 +769,5 @@ class ShardedWalkEngine {
   AtomicHistogram* depth_m_ = nullptr;
   AtomicHistogram* latency_m_ = nullptr;
 };
-
-/// Batch front-ends routed through the sharded engine when a ShardPlan is
-/// supplied — same shapes as core/parallel.hpp, same bit-identical results.
-/// G is Graph or DynamicGraph (anything ShardedGraph snapshots).
-
-template <typename G, typename F>
-TourBatch run_tours(const G& g, NodeId origin, std::size_t m, F f,
-                    std::uint64_t seed, ParallelRunner& runner,
-                    const ShardPlan& plan, std::uint64_t max_steps = ~0ULL) {
-  ShardedGraph sharded(g, plan);
-  ShardedWalkEngine engine(sharded, runner);
-  return engine.run_tours(origin, m, f, seed, max_steps);
-}
-
-template <typename G>
-TourBatch run_tours_size(const G& g, NodeId origin, std::size_t m,
-                         std::uint64_t seed, ParallelRunner& runner,
-                         const ShardPlan& plan,
-                         std::uint64_t max_steps = ~0ULL) {
-  return run_tours(
-      g, origin, m, [](NodeId) { return 1.0; }, seed, runner, plan,
-      max_steps);
-}
-
-template <typename G, typename F>
-TourBatch run_tours_probed(const G& g, NodeId origin, std::size_t m, F f,
-                           std::uint64_t seed, ParallelRunner& runner,
-                           const ShardPlan& plan, WalkStats& walk_out,
-                           std::uint64_t max_steps = ~0ULL) {
-  ShardedGraph sharded(g, plan);
-  ShardedWalkEngine engine(sharded, runner);
-  std::vector<WalkStats> per_task(m);
-  std::vector<WalkStatsProbe> probes;
-  probes.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) probes.emplace_back(per_task[i]);
-  TourBatch batch = engine.run_tours(origin, m, f, seed, max_steps,
-                                     std::span<WalkStatsProbe>(probes));
-  walk_out = detail::fold_walk_stats(per_task);
-  return batch;
-}
-
-template <typename G>
-SampleBatch run_samples(const G& g, NodeId origin, std::size_t m,
-                        double timer, std::uint64_t seed,
-                        ParallelRunner& runner, const ShardPlan& plan) {
-  ShardedGraph sharded(g, plan);
-  ShardedWalkEngine engine(sharded, runner);
-  return engine.run_samples(origin, m, timer, seed);
-}
-
-template <typename G>
-SampleBatch run_samples_probed(const G& g, NodeId origin, std::size_t m,
-                               double timer, std::uint64_t seed,
-                               ParallelRunner& runner, const ShardPlan& plan,
-                               WalkStats& walk_out) {
-  ShardedGraph sharded(g, plan);
-  ShardedWalkEngine engine(sharded, runner);
-  std::vector<WalkStats> per_task(m);
-  std::vector<WalkStatsProbe> probes;
-  probes.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) probes.emplace_back(per_task[i]);
-  SampleBatch batch = engine.run_samples(origin, m, timer, seed,
-                                         std::span<WalkStatsProbe>(probes));
-  walk_out = detail::fold_walk_stats(per_task);
-  return batch;
-}
-
-template <typename G>
-ScBatch run_sc_trials(const G& g, NodeId origin, std::size_t trials,
-                      double timer, std::size_t ell, std::uint64_t seed,
-                      ParallelRunner& runner, const ShardPlan& plan) {
-  ShardedGraph sharded(g, plan);
-  ShardedWalkEngine engine(sharded, runner);
-  return engine.run_sc_trials(origin, trials, timer, ell, seed);
-}
-
-template <typename G>
-ScBatch run_sc_trials_probed(const G& g, NodeId origin, std::size_t trials,
-                             double timer, std::size_t ell,
-                             std::uint64_t seed, ParallelRunner& runner,
-                             const ShardPlan& plan, WalkStats& walk_out) {
-  ShardedGraph sharded(g, plan);
-  ShardedWalkEngine engine(sharded, runner);
-  std::vector<WalkStats> per_task(trials);
-  std::vector<WalkStatsProbe> probes;
-  probes.reserve(trials);
-  for (std::size_t i = 0; i < trials; ++i) probes.emplace_back(per_task[i]);
-  ScBatch batch = engine.run_sc_trials(origin, trials, timer, ell, seed,
-                                       std::span<WalkStatsProbe>(probes));
-  walk_out = detail::fold_walk_stats(per_task);
-  return batch;
-}
 
 }  // namespace overcount

@@ -52,15 +52,10 @@
 
 namespace overcount {
 
-/// Default interleave width: enough in-flight loads to cover DRAM latency
-/// without spilling the lane state out of registers/L1.
+/// Interleave width of the batch layer (core/parallel.hpp): enough
+/// in-flight loads to cover DRAM latency without spilling the lane state out
+/// of registers/L1. The kernels themselves take any width >= 1.
 inline constexpr std::size_t kDefaultKernelWidth = 16;
-
-/// The width the batch APIs actually use: `configured` when non-zero, else
-/// the OVERCOUNT_KERNEL_WIDTH environment variable when set to a positive
-/// integer, else kDefaultKernelWidth. Width 1 disables the kernel (batches
-/// take the scalar path).
-std::size_t resolved_kernel_width(std::size_t configured) noexcept;
 
 /// Issues a prefetch for the topology state behind degree(v)/neighbors(v)
 /// when the graph type offers one (Graph prefetches its CSR offset pair);
@@ -94,9 +89,9 @@ inline const NodeId* draw_step(std::span<const NodeId> nbrs, Rng& rng) {
 /// Interleaved Random Tours: walk w of `out.size()` runs from `origin` on
 /// `streams[w]`, estimating sum_j f(j), bit-identical to
 /// `random_tour(g, origin, f, streams[w], max_steps, probes[w])`. At most
-/// `width` walks are in flight per call; the batch layer slices a batch into
-/// width-sized chunks, so callers normally pass spans of exactly `width`
-/// walks. When P is an enabled probe type, `probes` must have one probe per
+/// `width` walks are in flight per call; the batch layer (core/parallel.hpp)
+/// calls it once per chunk of kDefaultKernelWidth walks, or of one walk for
+/// batches smaller than that, with width equal to the chunk size. When P is an enabled probe type, `probes` must have one probe per
 /// walk (probes[w] observes walk w only).
 template <OverlayTopology G, typename F, WalkProbe P = NullProbe>
 void tour_kernel(const G& g, NodeId origin, F&& f, std::span<Rng> streams,

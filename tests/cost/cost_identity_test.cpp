@@ -10,6 +10,7 @@
 
 #include <cstdint>
 
+#include "core/convergence.hpp"
 #include "graph/generators.hpp"
 #include "obs/cost/cost.hpp"
 #include "obs/metrics.hpp"
@@ -39,7 +40,7 @@ TEST(CostIdentity, InstrumentedShardedRunIsBitIdentical) {
   const ShardedGraph sharded(g, plan);
 
   // Reference: no ledger, no registry, no tracer.
-  ParallelRunner bare_runner(4, 8);
+  ParallelRunner bare_runner(4);
   ShardedWalkEngine bare(sharded, bare_runner);
   const TourBatch reference =
       bare.run_tours(0, m, [](NodeId) { return 1.0; }, kSeed);
@@ -56,7 +57,7 @@ TEST(CostIdentity, InstrumentedShardedRunIsBitIdentical) {
   qc.query_id = 1;
   const std::uint32_t ctx = ledger.open(std::move(qc));
 
-  ParallelRunner runner(4, 8);
+  ParallelRunner runner(4);
   ShardedWalkEngine engine(sharded, runner, &registry);
   const TourBatch observed = [&] {
     CostScope scope(ctx);
@@ -91,7 +92,7 @@ TEST(CostIdentity, LedgerReconcilesExactlyWithEngineCounters) {
   qc.query_id = 1;
   const std::uint32_t ctx = ledger.open(std::move(qc));
 
-  ParallelRunner runner(4, 8);
+  ParallelRunner runner(4);
   ShardedWalkEngine engine(sharded, runner, &registry);
   const TourBatch batch = [&] {
     CostScope scope(ctx);
@@ -137,7 +138,7 @@ TEST(CostIdentity, UnscopedRunBillsTheSinkCompletely) {
 
   CostLedger ledger;
   ledger.install();
-  ParallelRunner runner(4, 8);
+  ParallelRunner runner(4);
   ShardedWalkEngine engine(sharded, runner);
   const TourBatch batch =
       engine.run_tours(0, 16, [](NodeId) { return 1.0; }, kSeed);
@@ -166,7 +167,7 @@ TEST(CostIdentity, ConcurrentQueriesDoNotCrossTalk) {
   const std::uint32_t a = ledger.open(std::move(qa));
   const std::uint32_t b = ledger.open(std::move(qb));
 
-  ParallelRunner runner(4, 8);
+  ParallelRunner runner(4);
   ShardedWalkEngine engine(sharded, runner);
   const TourBatch batch_a = [&] {
     CostScope scope(a);
@@ -187,6 +188,58 @@ TEST(CostIdentity, ConcurrentQueriesDoNotCrossTalk) {
   EXPECT_EQ(ledger.unattributed().steps(), 0u);
   EXPECT_EQ(ledger.totals().steps(),
             batch_a.total_steps + batch_b.total_steps);
+}
+
+// A monitored run (core/convergence.hpp) is the plain batch cut into
+// recording intervals, so under a ledger it must charge exactly what the
+// plain batch of the same (seed, m) charges — steps and walks, once.
+TEST(CostIdentity, MonitoredRunsChargeLikePlainBatches) {
+  const Graph g = test_graph();
+  const std::size_t m = 40;  // intervals of 16: two full, one partial
+  const double timer = 2.5;
+  const std::size_t ell = 4;
+  ConvergenceOptions opts;
+  opts.interval = 16;
+  TimeSeriesRecorder recorder;
+
+  CostLedger ledger;
+  ledger.install();
+  ParallelRunner runner(4);
+  std::uint64_t query = 0;
+  const auto charged = [&](auto run) {
+    QueryContext qc;
+    qc.tenant = "acme";
+    qc.query_id = ++query;
+    const std::uint32_t ctx = ledger.open(std::move(qc));
+    {
+      CostScope scope(ctx);
+      run();
+    }
+    return ledger.fold(ctx);
+  };
+  const CostRecord plain_rt =
+      charged([&] { run_tours_size(g, 0, m, kSeed, runner); });
+  const CostRecord monitored_rt = charged([&] {
+    run_tours_size_converging(g, 0, m, kSeed, runner, recorder, opts);
+  });
+  const CostRecord plain_sc =
+      charged([&] { run_sc_trials(g, 0, m, timer, ell, kSeed, runner); });
+  const CostRecord monitored_sc = charged([&] {
+    run_sc_converging(g, 0, m, timer, ell, kSeed, runner, recorder, opts);
+  });
+  ledger.uninstall();
+
+  EXPECT_GT(plain_rt.steps(), 0u);
+  EXPECT_EQ(plain_rt.get(CostField::kWalks), m);
+  EXPECT_EQ(monitored_rt.steps(), plain_rt.steps());
+  EXPECT_EQ(monitored_rt.get(CostField::kWalks),
+            plain_rt.get(CostField::kWalks));
+  EXPECT_GT(plain_sc.steps(), 0u);
+  EXPECT_EQ(plain_sc.get(CostField::kWalks), m);
+  EXPECT_EQ(monitored_sc.steps(), plain_sc.steps());
+  EXPECT_EQ(monitored_sc.get(CostField::kWalks),
+            plain_sc.get(CostField::kWalks));
+  EXPECT_EQ(ledger.unattributed().steps(), 0u);
 }
 
 #endif  // OVERCOUNT_COST_ENABLED

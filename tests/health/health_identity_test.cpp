@@ -38,7 +38,7 @@ TEST(HealthIdentity, FullyInstrumentedRunIsBitIdentical) {
   const ShardedGraph sharded(g, plan);
 
   // Reference: nothing attached, nothing installed.
-  ParallelRunner bare_runner(4, 8);
+  ParallelRunner bare_runner(4);
   ShardedWalkEngine bare(sharded, bare_runner);
   const TourBatch reference =
       bare.run_tours(0, m, [](NodeId) { return 1.0; }, kSeed);
@@ -54,7 +54,7 @@ TEST(HealthIdentity, FullyInstrumentedRunIsBitIdentical) {
   dog.watch_heartbeat("shard.superstep_stall", "shard", &hb, 60'000'000);
   EstimateAuditor auditor(&registry, &center);
 
-  ParallelRunner runner(4, 8);
+  ParallelRunner runner(4);
   ShardedWalkEngine engine(sharded, runner, &registry);
   engine.set_heartbeat(&hb);
   const TourBatch observed =
@@ -85,7 +85,7 @@ TEST(HealthIdentity, WalkFlowsChainAcrossShardHandoffs) {
   const Graph g = test_graph();
   const ShardPlan plan = make_shard_plan(g, 4);
   const ShardedGraph sharded(g, plan);
-  ParallelRunner runner(4, 8);
+  ParallelRunner runner(4);
   MetricsRegistry registry;
   ShardedWalkEngine engine(sharded, runner, &registry);
 

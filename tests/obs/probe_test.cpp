@@ -112,14 +112,16 @@ TEST(ProbeDeterminism, ProbedBatchAggregatesIdenticalAcrossThreadCounts) {
   constexpr std::uint64_t kSeed = 21;
 
   WalkStats base_stats;
+  ParallelRunner one(1);
   const auto base =
-      run_tours_size_probed(g, 0, kTours, kSeed, 1u, base_stats);
+      run_tours_size_probed(g, 0, kTours, kSeed, one, base_stats);
   ASSERT_TRUE(base.ok());
 
   for (const unsigned threads : {2u, 8u}) {
     WalkStats stats;
+    ParallelRunner runner(threads);
     const auto batch =
-        run_tours_size_probed(g, 0, kTours, kSeed, threads, stats);
+        run_tours_size_probed(g, 0, kTours, kSeed, runner, stats);
     EXPECT_EQ(batch.sum, base.sum);  // bitwise, not approximate
     EXPECT_EQ(batch.total_steps, base.total_steps);
     EXPECT_EQ(batch.completed, base.completed);
@@ -127,7 +129,8 @@ TEST(ProbeDeterminism, ProbedBatchAggregatesIdenticalAcrossThreadCounts) {
   }
 
   // And the probed batch reproduces the unprobed batch exactly.
-  const auto plain = run_tours_size(g, 0, kTours, kSeed, 4u);
+  ParallelRunner four(4);
+  const auto plain = run_tours_size(g, 0, kTours, kSeed, four);
   EXPECT_EQ(plain.sum, base.sum);
   EXPECT_EQ(plain.total_steps, base.total_steps);
 

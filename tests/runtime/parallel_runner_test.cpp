@@ -175,9 +175,10 @@ void expect_same_tour_batch(const Batch& a, const Batch& b) {
 
 TEST(ParallelBatches, ToursBitIdenticalAcrossThreadCounts) {
   const Graph g = test_graph();
-  const auto one = run_tours_size(g, 0, 200, /*seed=*/7, /*n_threads=*/1u);
-  const auto two = run_tours_size(g, 0, 200, 7, 2u);
-  const auto eight = run_tours_size(g, 0, 200, 7, 8u);
+  ParallelRunner r1(1), r2(2), r8(8);
+  const auto one = run_tours_size(g, 0, 200, /*seed=*/7, r1);
+  const auto two = run_tours_size(g, 0, 200, 7, r2);
+  const auto eight = run_tours_size(g, 0, 200, 7, r8);
   expect_same_tour_batch(one, two);
   expect_same_tour_batch(one, eight);
   EXPECT_GT(one.mean(), 0.0);
@@ -185,9 +186,10 @@ TEST(ParallelBatches, ToursBitIdenticalAcrossThreadCounts) {
 
 TEST(ParallelBatches, SamplesBitIdenticalAcrossThreadCounts) {
   const Graph g = test_graph();
-  const auto one = run_samples(g, 0, 500, /*timer=*/6.0, /*seed=*/11, 1u);
-  const auto two = run_samples(g, 0, 500, 6.0, 11, 2u);
-  const auto eight = run_samples(g, 0, 500, 6.0, 11, 8u);
+  ParallelRunner r1(1), r2(2), r8(8);
+  const auto one = run_samples(g, 0, 500, /*timer=*/6.0, /*seed=*/11, r1);
+  const auto two = run_samples(g, 0, 500, 6.0, 11, r2);
+  const auto eight = run_samples(g, 0, 500, 6.0, 11, r8);
   ASSERT_EQ(one.samples.size(), 500u);
   for (std::size_t i = 0; i < 500; ++i) {
     EXPECT_EQ(one.samples[i].node, two.samples[i].node) << i;
@@ -200,10 +202,11 @@ TEST(ParallelBatches, SamplesBitIdenticalAcrossThreadCounts) {
 
 TEST(ParallelBatches, ScTrialsBitIdenticalAcrossThreadCounts) {
   const Graph g = test_graph();
+  ParallelRunner r1(1), r2(2), r8(8);
   const auto one = run_sc_trials(g, 0, 12, /*timer=*/6.0, /*ell=*/5,
-                                 /*seed=*/13, 1u);
-  const auto two = run_sc_trials(g, 0, 12, 6.0, 5, 13, 2u);
-  const auto eight = run_sc_trials(g, 0, 12, 6.0, 5, 13, 8u);
+                                 /*seed=*/13, r1);
+  const auto two = run_sc_trials(g, 0, 12, 6.0, 5, 13, r2);
+  const auto eight = run_sc_trials(g, 0, 12, 6.0, 5, 13, r8);
   ASSERT_EQ(one.trials.size(), 12u);
   for (std::size_t i = 0; i < 12; ++i) {
     EXPECT_EQ(one.trials[i].simple, eight.trials[i].simple) << i;
@@ -214,13 +217,24 @@ TEST(ParallelBatches, ScTrialsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.sum_simple, two.sum_simple);
   EXPECT_EQ(one.sum_simple, eight.sum_simple);
   EXPECT_EQ(one.sum_ml, eight.sum_ml);
+  EXPECT_TRUE(one.ok());
+
+  // A zero-trial batch has no estimate: ok() is false and both means are
+  // NaN, never 0.0 (which reads as "the overlay is empty").
+  const auto empty = run_sc_trials(g, 0, 0, 6.0, 5, 13, r2);
+  EXPECT_TRUE(empty.trials.empty());
+  EXPECT_FALSE(empty.ok());
+  EXPECT_TRUE(std::isnan(empty.mean_simple()));
+  EXPECT_TRUE(std::isnan(empty.mean_ml()));
+  EXPECT_EQ(empty.total_hops, 0u);
 }
 
 TEST(ParallelBatches, MetropolisBitIdenticalAcrossThreadCounts) {
   const Graph g = test_graph();
+  ParallelRunner r1(1), r8(8);
   const auto one = run_metropolis_samples(g, 0, 300, /*steps=*/64,
-                                          /*seed=*/17, 1u);
-  const auto eight = run_metropolis_samples(g, 0, 300, 64, 17, 8u);
+                                          /*seed=*/17, r1);
+  const auto eight = run_metropolis_samples(g, 0, 300, 64, 17, r8);
   for (std::size_t i = 0; i < 300; ++i)
     EXPECT_EQ(one.samples[i].node, eight.samples[i].node) << i;
   EXPECT_EQ(one.total_hops, eight.total_hops);
@@ -230,7 +244,8 @@ TEST(ParallelBatches, ReusedRunnerMatchesThrowawayPool) {
   const Graph g = test_graph();
   ParallelRunner runner(3);
   const auto reused = run_tours_size(g, 0, 100, 23, runner);
-  const auto fresh = run_tours_size(g, 0, 100, 23, 5u);
+  ParallelRunner throwaway(5);
+  const auto fresh = run_tours_size(g, 0, 100, 23, throwaway);
   expect_same_tour_batch(reused, fresh);
 }
 
@@ -239,7 +254,8 @@ TEST(ParallelBatches, TruncatedToursAreDroppedAndReported) {
   // in the batch is truncated; the batch must drop them all from the
   // aggregate instead of averaging biased partial values.
   const Graph g = ring(64);
-  const auto batch = run_tours_size(g, 0, 32, /*seed=*/3, 2u,
+  ParallelRunner runner(2);
+  const auto batch = run_tours_size(g, 0, 32, /*seed=*/3, runner,
                                     /*max_steps=*/1);
   EXPECT_EQ(batch.truncated, 32u);
   EXPECT_EQ(batch.completed, 0u);
@@ -251,7 +267,7 @@ TEST(ParallelBatches, TruncatedToursAreDroppedAndReported) {
   for (const auto& t : batch.tours) EXPECT_FALSE(t.completed);
 
   // With no cap every ring tour completes.
-  const auto full = run_tours_size(g, 0, 32, 3, 2u);
+  const auto full = run_tours_size(g, 0, 32, 3, runner);
   EXPECT_EQ(full.truncated, 0u);
   EXPECT_EQ(full.completed, 32u);
   EXPECT_TRUE(full.ok());
@@ -260,7 +276,8 @@ TEST(ParallelBatches, TruncatedToursAreDroppedAndReported) {
 
 TEST(ParallelBatches, BatchStatsCountDomainSteps) {
   const Graph g = test_graph();
-  const auto batch = run_tours_size(g, 0, 50, 29, 2u);
+  ParallelRunner runner(2);
+  const auto batch = run_tours_size(g, 0, 50, 29, runner);
   EXPECT_EQ(batch.stats.tasks, 50u);
   EXPECT_EQ(batch.stats.steps, batch.total_steps);
   EXPECT_GT(batch.stats.steps, 0u);

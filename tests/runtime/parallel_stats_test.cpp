@@ -33,8 +33,9 @@ TEST(ParallelStats, CtrwSamplesRemainUniform) {
   const double gap = spectral_gap_lanczos(g, n - 1);
   const double timer =
       recommended_ctrw_timer(static_cast<double>(n), gap, 2.0);
+  ParallelRunner runner(4);
   const auto batch =
-      run_samples(g, 0, 40 * n, timer, /*seed=*/302, /*n_threads=*/4u);
+      run_samples(g, 0, 40 * n, timer, /*seed=*/302, runner);
   std::vector<std::size_t> counts(n, 0);
   for (const auto& s : batch.samples) ++counts[s.node];
   const auto result = chi_square_uniform(counts);
@@ -46,8 +47,9 @@ TEST(ParallelStats, CtrwUniformityHoldsOnStarGraph) {
   // Degree heterogeneity is where a biased sampler fails first (the hub of
   // a star absorbs a DTRW); the parallel CTRW batch must stay uniform.
   const Graph g = star(21);
+  ParallelRunner runner(4);
   const auto batch = run_samples(g, 1, 8000, /*timer=*/25.0, /*seed=*/303,
-                                 /*n_threads=*/4u);
+                                 runner);
   std::size_t hub = 0;
   for (const auto& s : batch.samples)
     if (s.node == 0) ++hub;
@@ -64,7 +66,8 @@ TEST(ParallelStats, TourMeanIsUnbiasedWithinConfidenceInterval) {
   const Graph g = balanced_graph(300, 304);
   const double n = static_cast<double>(g.num_nodes());
   const std::size_t m = 4000;
-  const auto batch = run_tours_size(g, 0, m, /*seed=*/305, /*n_threads=*/4u);
+  ParallelRunner runner(4);
+  const auto batch = run_tours_size(g, 0, m, /*seed=*/305, runner);
   ASSERT_EQ(batch.completed, m);
   RunningStats values;
   for (const auto& t : batch.tours) values.add(t.value);
@@ -82,9 +85,10 @@ TEST(ParallelStats, TourMeanUnbiasedForWeightedAggregates) {
   for (NodeId v = 0; v < g.num_nodes(); ++v)
     phi += static_cast<double>(v % 7);
   const std::size_t m = 4000;
+  ParallelRunner runner(4);
   const auto batch = run_tours(
       g, 0, m, [](NodeId v) { return static_cast<double>(v % 7); },
-      /*seed=*/307, /*n_threads=*/4u);
+      /*seed=*/307, runner);
   RunningStats values;
   for (const auto& t : batch.tours) values.add(t.value);
   const double se = values.stddev() / std::sqrt(static_cast<double>(m));
@@ -100,8 +104,9 @@ TEST(ParallelStats, ScEstimatesConcentrateAroundN) {
   const double gap = spectral_gap_lanczos(g, g.num_nodes() - 1);
   const double timer = recommended_ctrw_timer(n, gap, 1.5);
   const std::size_t trials = 32, ell = 20;
+  ParallelRunner runner(4);
   const auto batch =
-      run_sc_trials(g, 0, trials, timer, ell, /*seed=*/309, 4u);
+      run_sc_trials(g, 0, trials, timer, ell, /*seed=*/309, runner);
   // Relative sd of one trial ~ 1/sqrt(ell); of the mean of `trials` trials
   // ~ 1/sqrt(ell * trials).
   const double rel_se = 1.0 / std::sqrt(static_cast<double>(ell * trials));
@@ -120,7 +125,8 @@ TEST(ParallelStats, ErlangLawOfScTrialsSurvivesParallelism) {
   const double gap = spectral_gap_lanczos(g, g.num_nodes() - 1);
   const double timer = recommended_ctrw_timer(n, gap, 1.5);
   const int ell = 10;
-  const auto batch = run_sc_trials(g, 0, 60, timer, ell, /*seed=*/311, 4u);
+  ParallelRunner runner(4);
+  const auto batch = run_sc_trials(g, 0, 60, timer, ell, /*seed=*/311, runner);
   std::vector<double> normalised;
   for (const auto& t : batch.trials) normalised.push_back(t.simple / n);
   const auto ks = ks_test(std::move(normalised), [&](double x) {
@@ -133,8 +139,9 @@ TEST(ParallelStats, MetropolisSamplesAreUnbiasedOnStar) {
   // The Metropolis walk's stationary law is uniform; after enough steps the
   // hub rate of a parallel batch must be near 1/n, not the DTRW's 1/2.
   const Graph g = star(21);
+  ParallelRunner runner(4);
   const auto batch = run_metropolis_samples(g, 1, 6000, /*steps=*/200,
-                                            /*seed=*/312, 4u);
+                                            /*seed=*/312, runner);
   std::size_t hub = 0;
   for (const auto& s : batch.samples)
     if (s.node == 0) ++hub;

@@ -3,9 +3,11 @@
 // WHERE steps execute, never of WHICH steps execute. These tests pin that
 // bit-for-bit against the single-shard reference — every tour estimate,
 // CTRW sample, S&C trial, folded WalkStats and registry metric stream must
-// equal the scalar/kernel path exactly, over S in {1,2,4,8} x threads
-// {1,2,8} x kernel widths {1,16}, including max_steps truncation parity and
-// the all-truncated NaN audit.
+// equal the scalar reference, the direct kernel (widths {1,16}) and the
+// core/parallel.hpp batch exactly, over S in {1,2,4,8} x threads {1,2,8},
+// including max_steps truncation parity and the all-truncated NaN audit.
+// Every sharded batch is built the way callers build it: a ShardedGraph
+// over a ShardPlan, plus a ShardedWalkEngine on a ParallelRunner.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -32,6 +34,19 @@ const std::size_t kWidths[] = {1, 16};
 Graph test_graph() {
   Rng rng(99);
   return balanced_random_graph(400, rng);
+}
+
+double unit(NodeId) { return 1.0; }
+
+/// Runs `run(probes)` with one WalkStatsProbe per walk and folds the
+/// per-walk stats into `walk_out`, as core/parallel.hpp's probed batches do.
+template <typename Run>
+auto run_probed(std::size_t m, WalkStats& walk_out, Run run) {
+  std::vector<WalkStats> per_walk(m);
+  std::vector<WalkStatsProbe> probes(per_walk.begin(), per_walk.end());
+  auto batch = run(std::span<WalkStatsProbe>(probes));
+  walk_out = detail::fold_walk_stats(per_walk);
+  return batch;
 }
 
 void expect_same_walk_stats(const WalkStats& a, const WalkStats& b) {
@@ -100,44 +115,52 @@ TEST(ShardEquivalence, ToursBitIdenticalAcrossShardsThreadsWidths) {
   const Graph g = test_graph();
   const std::size_t m = 48;
 
-  // Scalar reference: one stream per walk, the pre-kernel path.
+  // Scalar reference: one stream per walk.
   auto streams = derive_streams(kSeed, m);
   std::vector<TourEstimate> reference;
   reference.reserve(m);
   for (std::size_t i = 0; i < m; ++i)
     reference.push_back(random_tour_size(g, 0, streams[i]));
 
+  // The direct kernel at each width closes the triangle: engine == scalar
+  // == kernel.
+  for (const std::size_t width : kWidths) {
+    SCOPED_TRACE(::testing::Message() << "kernel width=" << width);
+    auto kernel_streams = derive_streams(kSeed, m);
+    std::vector<TourEstimate> via_kernel(m);
+    tour_kernel(g, 0, unit, std::span<Rng>(kernel_streams),
+                std::span<TourEstimate>(via_kernel), width);
+    for (std::size_t i = 0; i < m; ++i) {
+      EXPECT_EQ(via_kernel[i].value, reference[i].value);  // bitwise
+      EXPECT_EQ(via_kernel[i].steps, reference[i].steps);
+    }
+  }
+
   for (const std::uint32_t shards : kShards) {
     const ShardPlan plan = make_shard_plan(g, shards);
     const ShardedGraph sharded(g, plan);
     for (const unsigned threads : kThreads) {
-      for (const std::size_t width : kWidths) {
-        SCOPED_TRACE(::testing::Message() << "S=" << shards << " threads="
-                                          << threads << " width=" << width);
-        // The runner's kernel width drives the single-shard comparison
-        // batch; the engine itself never consults it — asserting both
-        // against the same reference closes the triangle.
-        ParallelRunner runner(threads, width);
-        ShardedWalkEngine engine(sharded, runner);
-        const TourBatch via_engine = engine.run_tours(
-            0, m, [](NodeId) { return 1.0; }, kSeed);
-        const TourBatch via_kernel = run_tours_size(g, 0, m, kSeed, runner);
-        ASSERT_EQ(via_engine.tours.size(), m);
-        EXPECT_EQ(via_engine.stats.tasks, m);
-        for (std::size_t i = 0; i < m; ++i) {
-          EXPECT_EQ(via_engine.tours[i].value, reference[i].value);  // bitwise
-          EXPECT_EQ(via_engine.tours[i].steps, reference[i].steps);
-          EXPECT_EQ(via_engine.tours[i].completed, reference[i].completed);
-          EXPECT_EQ(via_engine.tours[i].value, via_kernel.tours[i].value);
-        }
-        EXPECT_EQ(via_engine.sum, via_kernel.sum);  // same tree reduction
-        EXPECT_EQ(via_engine.completed, via_kernel.completed);
-        EXPECT_EQ(via_engine.total_steps, via_kernel.total_steps);
-        const ShardRunStats& stats = engine.last_run_stats();
-        EXPECT_EQ(stats.walks, m);
-        if (shards == 1) {
-          EXPECT_EQ(stats.handoffs, 0u);
-        }
+      SCOPED_TRACE(::testing::Message()
+                   << "S=" << shards << " threads=" << threads);
+      ParallelRunner runner(threads);
+      ShardedWalkEngine engine(sharded, runner);
+      const TourBatch via_engine = engine.run_tours(0, m, unit, kSeed);
+      const TourBatch via_batch = run_tours_size(g, 0, m, kSeed, runner);
+      ASSERT_EQ(via_engine.tours.size(), m);
+      EXPECT_EQ(via_engine.stats.tasks, m);
+      for (std::size_t i = 0; i < m; ++i) {
+        EXPECT_EQ(via_engine.tours[i].value, reference[i].value);  // bitwise
+        EXPECT_EQ(via_engine.tours[i].steps, reference[i].steps);
+        EXPECT_EQ(via_engine.tours[i].completed, reference[i].completed);
+        EXPECT_EQ(via_engine.tours[i].value, via_batch.tours[i].value);
+      }
+      EXPECT_EQ(via_engine.sum, via_batch.sum);  // same tree reduction
+      EXPECT_EQ(via_engine.completed, via_batch.completed);
+      EXPECT_EQ(via_engine.total_steps, via_batch.total_steps);
+      const ShardRunStats& stats = engine.last_run_stats();
+      EXPECT_EQ(stats.walks, m);
+      if (shards == 1) {
+        EXPECT_EQ(stats.handoffs, 0u);
       }
     }
   }
@@ -159,14 +182,16 @@ TEST(ShardEquivalence, ProbedToursFoldIdenticalWalkStats) {
 
   for (const std::uint32_t shards : kShards) {
     const ShardPlan plan = make_shard_plan(g, shards);
+    const ShardedGraph sharded(g, plan);
     for (const unsigned threads : kThreads) {
       SCOPED_TRACE(::testing::Message()
                    << "S=" << shards << " threads=" << threads);
       ParallelRunner runner(threads);
+      ShardedWalkEngine engine(sharded, runner);
       WalkStats walk_stats;
-      const TourBatch batch = run_tours_probed(
-          g, 0, m, [](NodeId) { return 1.0; }, kSeed, runner, plan,
-          walk_stats);
+      const TourBatch batch = run_probed(m, walk_stats, [&](auto probes) {
+        return engine.run_tours(0, m, unit, kSeed, ~0ULL, probes);
+      });
       for (std::size_t i = 0; i < m; ++i) {
         EXPECT_EQ(batch.tours[i].value, reference[i].value);
         EXPECT_EQ(batch.tours[i].steps, reference[i].steps);
@@ -233,12 +258,13 @@ TEST(ShardEquivalence, MaxStepsTruncationParity) {
         SCOPED_TRACE(::testing::Message() << "max_steps=" << max_steps
                                           << " S=" << shards
                                           << " threads=" << threads);
-        const ShardPlan plan = make_shard_plan(g, shards);
+        const ShardedGraph sharded(g, make_shard_plan(g, shards));
         ParallelRunner runner(threads);
+        ShardedWalkEngine engine(sharded, runner);
         WalkStats walk_stats;
-        const TourBatch batch = run_tours_probed(
-            g, 7, m, [](NodeId) { return 1.0; }, kSeed, runner, plan,
-            walk_stats, max_steps);
+        const TourBatch batch = run_probed(m, walk_stats, [&](auto probes) {
+          return engine.run_tours(7, m, unit, kSeed, max_steps, probes);
+        });
         std::size_t truncated = 0;
         for (std::size_t i = 0; i < m; ++i) {
           EXPECT_EQ(batch.tours[i].value, reference[i].value);
@@ -271,9 +297,9 @@ TEST(ShardEquivalence, AllTruncatedShardedBatchReportsNotOkLikeScalar) {
 
   for (const std::uint32_t shards : {2u, 8u}) {
     SCOPED_TRACE(::testing::Message() << "S=" << shards);
-    const ShardPlan plan = make_shard_plan(g, shards);
-    const TourBatch batch =
-        run_tours_size(g, 7, m, kSeed, runner, plan, max_steps);
+    const ShardedGraph sharded(g, make_shard_plan(g, shards));
+    ShardedWalkEngine engine(sharded, runner);
+    const TourBatch batch = engine.run_tours(7, m, unit, kSeed, max_steps);
     EXPECT_EQ(batch.completed, 0u);
     EXPECT_EQ(batch.truncated, m);
     EXPECT_FALSE(batch.ok());
@@ -294,16 +320,17 @@ TEST(ShardEquivalence, CtrwSamplesBitIdenticalToScalar) {
     reference.push_back(ctrw_sample(g, 0, timer, streams[i]));
 
   for (const std::uint32_t shards : kShards) {
-    const ShardPlan plan = make_shard_plan(g, shards);
+    const ShardedGraph sharded(g, make_shard_plan(g, shards));
     for (const unsigned threads : kThreads) {
       SCOPED_TRACE(::testing::Message()
                    << "S=" << shards << " threads=" << threads);
       ParallelRunner runner(threads);
-      const SampleBatch batch =
-          run_samples(g, 0, m, timer, kSeed, runner, plan);
+      ShardedWalkEngine engine(sharded, runner);
+      const SampleBatch batch = engine.run_samples(0, m, timer, kSeed);
       WalkStats walk_stats;
-      const SampleBatch probed =
-          run_samples_probed(g, 0, m, timer, kSeed, runner, plan, walk_stats);
+      const SampleBatch probed = run_probed(m, walk_stats, [&](auto probes) {
+        return engine.run_samples(0, m, timer, kSeed, probes);
+      });
       for (std::size_t i = 0; i < m; ++i) {
         EXPECT_EQ(batch.samples[i].node, reference[i].node);
         EXPECT_EQ(batch.samples[i].hops, reference[i].hops);
@@ -331,17 +358,18 @@ TEST(ShardEquivalence, ScTrialsBitIdenticalToScalar) {
   }
 
   for (const std::uint32_t shards : kShards) {
-    const ShardPlan plan = make_shard_plan(g, shards);
+    const ShardedGraph sharded(g, make_shard_plan(g, shards));
     for (const unsigned threads : kThreads) {
       SCOPED_TRACE(::testing::Message()
                    << "S=" << shards << " threads=" << threads);
       ParallelRunner runner(threads);
+      ShardedWalkEngine engine(sharded, runner);
       const ScBatch batch =
-          run_sc_trials(g, 0, trials, timer, ell, kSeed, runner, plan);
+          engine.run_sc_trials(0, trials, timer, ell, kSeed);
       WalkStats walk_stats;
-      const ScBatch probed = run_sc_trials_probed(g, 0, trials, timer, ell,
-                                                  kSeed, runner, plan,
-                                                  walk_stats);
+      const ScBatch probed = run_probed(trials, walk_stats, [&](auto probes) {
+        return engine.run_sc_trials(0, trials, timer, ell, kSeed, probes);
+      });
       for (std::size_t i = 0; i < trials; ++i) {
         SCOPED_TRACE(::testing::Message() << "trial=" << i);
         EXPECT_EQ(batch.trials[i].ml, reference[i].ml);  // bitwise
@@ -440,9 +468,10 @@ TEST(ShardEquivalence, DegreeBalancedPartitionGivesSameResults) {
   ParallelRunner runner(4);
   const TourBatch reference = run_tours_size(g, 0, m, kSeed, runner);
 
-  const ShardPlan plan =
-      make_shard_plan(g, 4, DegreeBalancedPartitioner{});
-  const TourBatch batch = run_tours_size(g, 0, m, kSeed, runner, plan);
+  const ShardedGraph sharded(
+      g, make_shard_plan(g, 4, DegreeBalancedPartitioner{}));
+  ShardedWalkEngine engine(sharded, runner);
+  const TourBatch batch = engine.run_tours(0, m, unit, kSeed);
   for (std::size_t i = 0; i < m; ++i) {
     EXPECT_EQ(batch.tours[i].value, reference.tours[i].value);
     EXPECT_EQ(batch.tours[i].steps, reference.tours[i].steps);

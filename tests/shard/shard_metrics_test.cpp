@@ -66,7 +66,7 @@ TEST(ShardMetrics, ToursConserveTokensAcrossShardCounts) {
     SCOPED_TRACE(::testing::Message() << "S=" << shards);
     const ShardPlan plan = make_shard_plan(g, shards);
     const ShardedGraph sharded(g, plan);
-    ParallelRunner runner(4, 8);
+    ParallelRunner runner(4);
     MetricsRegistry registry;
     ShardedWalkEngine engine(sharded, runner, &registry);
     engine.run_tours(0, 48, [](NodeId) { return 1.0; }, kSeed);
@@ -85,7 +85,7 @@ TEST(ShardMetrics, SamplesConserveTokensAcrossShardCounts) {
     SCOPED_TRACE(::testing::Message() << "S=" << shards);
     const ShardPlan plan = make_shard_plan(g, shards);
     const ShardedGraph sharded(g, plan);
-    ParallelRunner runner(2, 4);
+    ParallelRunner runner(2);
     MetricsRegistry registry;
     ShardedWalkEngine engine(sharded, runner, &registry);
     engine.run_samples(0, 32, 25.0, kSeed);
@@ -99,7 +99,7 @@ TEST(ShardMetrics, ScTrialsConserveTokensAcrossShardCounts) {
     SCOPED_TRACE(::testing::Message() << "S=" << shards);
     const ShardPlan plan = make_shard_plan(g, shards);
     const ShardedGraph sharded(g, plan);
-    ParallelRunner runner(2, 4);
+    ParallelRunner runner(2);
     MetricsRegistry registry;
     ShardedWalkEngine engine(sharded, runner, &registry);
     engine.run_sc_trials(0, 4, 20.0, 3, kSeed);
@@ -116,7 +116,7 @@ TEST(ShardMetrics, BackToBackBatchesKeepConservationCumulative) {
   const Graph g = test_graph();
   const ShardPlan plan = make_shard_plan(g, 4);
   const ShardedGraph sharded(g, plan);
-  ParallelRunner runner(4, 8);
+  ParallelRunner runner(4);
   MetricsRegistry registry;
   ShardedWalkEngine engine(sharded, runner, &registry);
   engine.run_tours(0, 24, [](NodeId) { return 1.0; }, kSeed);

@@ -44,19 +44,20 @@ TEST(ContractGating, HotChecksCompiledOutInRelease) {
 #endif
 
 // Every build, Release included: batch entry points reject invalid origins
-// unconditionally, for both the scalar and the kernel path.
+// unconditionally, whether the batch runs as one-walk chunks (m < 16) or as
+// kernel-width chunks.
 TEST(ContractGating, BatchEntryRejectsIsolatedOriginInAllBuilds) {
   const Graph g = graph_with_isolated_node();
-  for (std::size_t width : {std::size_t{1}, std::size_t{16}}) {
-    ParallelRunner runner(2, width);
-    EXPECT_THROW(run_tours_size(g, 2, 32, 7, runner), precondition_error);
+  ParallelRunner runner(2);
+  for (std::size_t m : {std::size_t{1}, std::size_t{32}}) {
+    EXPECT_THROW(run_tours_size(g, 2, m, 7, runner), precondition_error);
     WalkStats stats;
-    EXPECT_THROW(run_tours_size_probed(g, 2, 32, 7, runner, stats),
+    EXPECT_THROW(run_tours_size_probed(g, 2, m, 7, runner, stats),
                  precondition_error);
-    EXPECT_THROW(run_samples(g, 2, 32, 1.0, 7, runner), precondition_error);
-    EXPECT_THROW(run_sc_trials(g, 2, 32, 1.0, 2, 7, runner),
+    EXPECT_THROW(run_samples(g, 2, m, 1.0, 7, runner), precondition_error);
+    EXPECT_THROW(run_sc_trials(g, 2, m, 1.0, 2, 7, runner),
                  precondition_error);
-    EXPECT_THROW(run_metropolis_samples(g, 2, 32, 10, 7, runner),
+    EXPECT_THROW(run_metropolis_samples(g, 2, m, 10, 7, runner),
                  precondition_error);
   }
 }

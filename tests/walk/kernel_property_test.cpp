@@ -79,7 +79,7 @@ TEST_P(KernelProperty, TourAgreementOnRandomOriginsAndCaps) {
     for (std::size_t i = 0; i < m; ++i)
       reference.push_back(random_tour_size(g, origin, streams[i], max_steps));
 
-    ParallelRunner runner(4, 8);
+    ParallelRunner runner(4);
     const auto batch =
         run_tours_size(g, origin, m, seed, runner, max_steps);
     for (std::size_t i = 0; i < m; ++i) {
@@ -111,7 +111,7 @@ TEST_P(KernelProperty, CtrwAgreementOnRandomOrigins) {
     for (std::size_t i = 0; i < m; ++i)
       reference.push_back(ctrw_sample(g, origin, timer, streams[i]));
 
-    ParallelRunner runner(4, 8);
+    ParallelRunner runner(4);
     const auto batch = run_samples(g, origin, m, timer, seed, runner);
     for (std::size_t i = 0; i < m; ++i) {
       EXPECT_EQ(batch.samples[i].node, reference[i].node);
@@ -139,7 +139,7 @@ TEST_P(KernelProperty, ScAgreementProbedAndUnprobed) {
     reference.push_back(estimator.estimate());
   }
 
-  ParallelRunner runner(4, 8);
+  ParallelRunner runner(4);
   WalkStats walk_stats;
   const auto batch = run_sc_trials_probed(g, origin, trials, timer, ell,
                                           seed, runner, walk_stats);
