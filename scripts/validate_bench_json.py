@@ -26,7 +26,11 @@ they deviate from baseline by more than the tolerance in either
 direction. Counters matched by --counters that the CURRENT artifact adds
 but the baseline lacks are printed as informational `new` lines and never
 fail the diff, so a bench can grow instrumentation without forcing a
-baseline refresh. The CI perf-smoke job runs this against the committed
+baseline refresh. The diff fails outright, even with --warn-only, when
+the artifact's run scale differs from the baseline's — meta `n`, `seed`
+or `fast` — because counters of runs at different scales are not
+comparable. The CI
+perf-smoke job runs this against the committed
 bench/baselines/BENCH_micro.json with --counters over BM_RandomTour*
 items_per_second, so a >25% regression of the walk hot path fails CI.
 
@@ -52,6 +56,8 @@ REQUIRED_TOP = [
     "values",
 ]
 REQUIRED_META = ["n", "seed", "threads", "fast", "git_rev"]
+# Meta fields that fix a run's scale: a baseline diff needs them equal.
+RUN_SCALE_META = ["n", "seed", "fast"]
 REQUIRED_BATCH = [
     "tasks",
     "steps",
@@ -197,26 +203,37 @@ def lower_is_better(counter):
 def diff_against_baseline(files, baseline_path, counter_re, tolerance):
     """Compares matched `values` counters against the committed baseline.
 
-    Returns a list of error strings (empty = within tolerance)."""
+    Returns (errors, scale_errors): counter violations (empty = within
+    tolerance), and run-scale mismatches that make the comparison void."""
     errors = []
     try:
         baseline = json.loads(baseline_path.read_text())
     except (OSError, json.JSONDecodeError) as e:
-        return [f"baseline {baseline_path}: unreadable: {e}"]
+        return [f"baseline {baseline_path}: unreadable: {e}"], []
 
     current_path = next(
         (p for p in files if p.name == baseline_path.name), None)
     if current_path is None:
         return [f"baseline diff: no current artifact named "
-                f"{baseline_path.name} to compare"]
+                f"{baseline_path.name} to compare"], []
     current = json.loads(current_path.read_text())
+
+    base_meta = baseline.get("meta", {})
+    cur_meta = current.get("meta", {})
+    scale_errors = [
+        f"baseline diff: meta '{key}' differs (baseline={base_meta.get(key)}, "
+        f"current={cur_meta.get(key)}); runs at different scales are not "
+        f"comparable"
+        for key in RUN_SCALE_META if base_meta.get(key) != cur_meta.get(key)]
+    if scale_errors:
+        return [], scale_errors
 
     base_values = baseline.get("values", {})
     cur_values = current.get("values", {})
     matched = sorted(k for k in base_values if counter_re.search(k))
     if not matched:
         return [f"baseline diff: no baseline counters match "
-                f"'{counter_re.pattern}'"]
+                f"'{counter_re.pattern}'"], []
 
     for key in matched:
         base = base_values[key]
@@ -265,7 +282,7 @@ def diff_against_baseline(files, baseline_path, counter_re, tolerance):
     for key in new_keys:
         print(f"new  {key}: current={cur_values[key]:.6g} "
               f"(not in baseline; informational only)")
-    return errors
+    return errors, []
 
 
 def parse_args(argv):
@@ -316,10 +333,11 @@ def main(argv=None):
     print(f"{len(files)} artifacts checked")
 
     if args.baseline is not None:
-        diff_errors = diff_against_baseline(
+        diff_errors, scale_errors = diff_against_baseline(
             files, args.baseline, re.compile(args.counters), args.tolerance)
-        for e in diff_errors:
+        for e in scale_errors + diff_errors:
             print(f"     - {e}")
+        failed = failed or bool(scale_errors)
         if diff_errors and args.warn_only:
             print(f"warn: {len(diff_errors)} baseline-diff violation(s) "
                   f"reported but not fatal (--warn-only)")

@@ -17,40 +17,12 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 
 #include "core/sampling.hpp"
 #include "obs/trace.hpp"
+#include "walk/collision.hpp"
 
 namespace overcount {
-
-/// Collision bookkeeping over a stream of node samples. Every sample whose
-/// id has been seen before counts as one collision (so a third occurrence of
-/// the same id is a second collision).
-class CollisionTracker {
- public:
-  /// Feeds one sample; returns true when it collided with an earlier one.
-  bool feed(NodeId sample) {
-    ++samples_;
-    const bool collided = !seen_.insert(sample).second;
-    if (collided) ++collisions_;
-    return collided;
-  }
-
-  std::uint64_t samples() const noexcept { return samples_; }
-  std::uint64_t collisions() const noexcept { return collisions_; }
-  std::uint64_t distinct() const noexcept { return samples_ - collisions_; }
-  void reset() {
-    seen_.clear();
-    samples_ = 0;
-    collisions_ = 0;
-  }
-
- private:
-  std::unordered_set<NodeId> seen_;
-  std::uint64_t samples_ = 0;
-  std::uint64_t collisions_ = 0;
-};
 
 /// Log-likelihood of observing `collisions` collisions in `samples` draws
 /// from a uniform population of size n (up to an N-free additive constant).

@@ -22,17 +22,24 @@
 // batch is bit-identical to the single-shard batch for ANY (shard count,
 // thread count) — proven by tests/shard/shard_equivalence_test.cpp.
 //
-// Segment stitching (opt-in, enable_stitching): on arrival at a boundary
-// node the engine splices a precomputed lambda-step segment
-// (shard/segment.hpp) instead of stepping edge by edge, completing an
-// L-step tour in ~L/lambda handoffs (Das Sarma et al.). Stitched walks
-// consume the segment store's per-node streams, not the token's stream, so
-// they are NOT bit-identical to the scalar path — they are deterministic
-// for a fixed (plan, stitch seed) at any thread count, and preserve the
-// walk law exactly (uniform neighbour choice, Exp(d) sojourns), which
-// tests/shard/shard_statistical_test.cpp verifies with the chi-square/KS
-// layer. A store is only accepted when its snapshot version matches the
-// engine's graph (staleness rule w.r.t. DynamicGraph::version()).
+// Every walk step, stitched or not, is a step of walk/step.hpp: one token
+// loop per walk kind, drawing through StitchedDraws (shard/segment.hpp).
+//
+// Segment stitching (opt-in, enable_stitching): at every visit to a node
+// the segment store pools — a boundary node, reached by a handoff, by a
+// step inside the shard, or at the end of a previous segment — the engine
+// replays a precomputed lambda-step segment (shard/segment.hpp) instead of
+// drawing edge by edge, and checks ownership only at the segment's end,
+// completing an L-step tour in ~L/lambda handoffs (Das Sarma et al.). A
+// stitched step differs from a token step only in where its draws come
+// from: the segment store's per-node streams, not the token's stream, so
+// stitched walks are NOT bit-identical to the scalar path — they are
+// deterministic for a fixed (plan, stitch seed) at any thread count, and
+// preserve the walk law exactly (uniform neighbour choice, Exp(d)
+// sojourns), which tests/shard/shard_statistical_test.cpp verifies with
+// the chi-square/KS layer. A store is only accepted when its snapshot
+// version matches the engine's graph (staleness rule w.r.t.
+// DynamicGraph::version()).
 #pragma once
 
 #include <algorithm>
@@ -56,6 +63,8 @@
 #include "shard/segment.hpp"
 #include "shard/shard_graph.hpp"
 #include "shard/token.hpp"
+#include "walk/collision.hpp"
+#include "walk/step.hpp"
 
 namespace overcount {
 
@@ -147,111 +156,61 @@ class ShardedWalkEngine {
     OVERCOUNT_EXPECTS(graph_->degree(origin) > 0);
     if constexpr (probe_enabled_v<P>)
       OVERCOUNT_EXPECTS(probes.size() == m);
-    // Attribution boundary: the whole batch — every step, handoff and
-    // token — is charged to the caller's cost context (obs/cost/), and the
-    // enclosing cost.ctx span is what the flamegraph folder keys on to
-    // splice (tenant, query) frames above the batch.
-    const std::uint32_t cost_ctx = cost_current();
-    TraceSpan cost_span("cost", "cost.ctx", "cost_ctx",
-                        static_cast<std::uint64_t>(cost_ctx));
-    TraceSpan batch_span("shard", "shard.run_tours", "m",
-                         static_cast<std::uint64_t>(m));
-    const BatchTimer timer;
+    BatchContext ctx(graph_->num_shards(), "shard.run_tours", "m", m);
     TourBatch batch;
     batch.tours.resize(m);
     auto streams = derive_streams(seed, m);
-    BatchContext ctx(graph_->num_shards());
-    ctx.cost_ctx = cost_ctx;
 
-    const auto d0 = graph_->degree(origin);
-    const double dd0 = static_cast<double>(d0);
-    const auto origin_row = graph_->neighbors(origin);
+    const double dd0 = static_cast<double>(graph_->degree(origin));
     // Seed serially on the driver thread: replay the scalar prologue
-    // (walk_begin, counter init, first draw, loop-condition check) so every
-    // token enters the round loop at the scalar loop top.
-    const std::uint64_t flow_base = reserve_flows(m);
-    std::vector<std::vector<WalkToken>> seeds(graph_->num_shards());
+    // (walk_begin, then the first step through the walk's own stream and
+    // its loop-condition check) so every token enters the round loop at the
+    // scalar loop top.
     for (std::size_t i = 0; i < m; ++i) {
-      if constexpr (probe_enabled_v<P>) probes[i].walk_begin(origin);
+      P& probe = walk_probe(probes, i);
+      if constexpr (probe_enabled_v<P>) probe.walk_begin(origin);
       Rng rng = streams[i];
-      const double acc = f(origin) / dd0;
-      const NodeId at = origin_row[rng.uniform_below(d0)];
-      constexpr std::uint64_t kFirstStep = 1;
-      if (at == origin || kFirstStep >= max_steps) {
-        const bool completed = at == origin;
-        if constexpr (probe_enabled_v<P>)
-          probes[i].tour_end(kFirstStep, completed);
-        batch.tours[i] = {dd0 * acc, kFirstStep, completed};
+      StreamDraws draws(rng);
+      TourWalk w = TourWalk::at_origin(origin);
+      if (tour_arrive(w, *tour_step(*graph_, f, w, draws), origin, max_steps,
+                      probe)) {
+        batch.tours[i] = w.result(dd0, origin);
         ++ctx.retired;
       } else {
-        if constexpr (probe_enabled_v<P>) probes[i].on_visit(at);
-        seeds[graph_->owner(at)].push_back(
-            seed_token({static_cast<std::uint32_t>(i), WalkKind::kTour, at,
-                        kFirstStep, acc, rng},
-                       flow_base, i, cost_ctx));
+        seed_token(ctx, graph_->owner(w.at),
+                   {static_cast<std::uint32_t>(i), WalkKind::kTour, w.at,
+                    w.steps, w.counter, rng});
       }
     }
-    push_seeds(ctx, seeds);
+    push_seeds(ctx);
 
     run_rounds(ctx, m, [&](std::uint32_t s, WalkToken& tk, Cell& cell,
                            std::vector<std::vector<WalkToken>>& outs) {
       // Token invariant: tk.at passed the loop condition and was visited,
       // but not yet accumulated.
-      NodeId at = tk.at;
-      double acc = tk.acc;
-      std::uint64_t steps = tk.steps;
-      Rng rng = tk.rng;
+      TourWalk w{tk.at, tk.acc, tk.steps};
+      StitchedDraws draws(tk.rng);
+      P& probe = walk_probe(probes, tk.walk);
       for (;;) {
-        if (store_ != nullptr) {
-          if (const WalkSegment* seg = store_->take(at)) {
-            ++cell.stitches;
-            const std::size_t len = seg->nodes.size() - 1;
-            trace_flow("shard", "walk.stitch", 't', tk.flow, "len",
-                       static_cast<std::uint64_t>(len));
-            for (std::size_t k = 0; k < len; ++k) {
-              acc += f(seg->nodes[k]) /
-                     static_cast<double>(graph_->degree(seg->nodes[k]));
-              at = seg->nodes[k + 1];
-              ++steps;
-              ++cell.stitch_steps;
-              if (at == origin || steps >= max_steps) {
-                retire_tour(batch, probes, tk.walk, dd0 * acc, steps,
-                            at == origin, cell, tk.flow);
-                return;
-              }
-              if constexpr (probe_enabled_v<P>) probes[tk.walk].on_visit(at);
-            }
-            if (graph_->owner(at) != s) {
-              ++cell.handoffs;
-              outs[graph_->owner(at)].push_back(
-                  frozen({tk.walk, WalkKind::kTour, at, steps, acc, rng},
-                         tk.flow, tk.ctx));
-              return;
-            }
-            continue;
-          }
-        }
-        acc += f(at) / static_cast<double>(graph_->degree(at));
-        const auto row = graph_->neighbors(at);
-        at = row[rng.uniform_below(row.size())];
-        ++steps;
-        if (at == origin || steps >= max_steps) {
-          retire_tour(batch, probes, tk.walk, dd0 * acc, steps, at == origin,
-                      cell, tk.flow);
+        take_segment(draws, w.at, cell, tk.flow);
+        const bool ended = tour_arrive(w, *tour_step(*graph_, f, w, draws),
+                                       origin, max_steps, probe);
+        if (!ended && draws.mid_segment()) continue;
+        cell.stitch_steps += draws.finish();
+        if (ended) {
+          trace_flow("shard", "walk.flow", 'f', tk.flow);
+          batch.tours[tk.walk] = w.result(dd0, origin);
+          ++cell.retired;
           return;
         }
-        if constexpr (probe_enabled_v<P>) probes[tk.walk].on_visit(at);
-        if (graph_->owner(at) != s) {
-          ++cell.handoffs;
-          outs[graph_->owner(at)].push_back(
-              frozen({tk.walk, WalkKind::kTour, at, steps, acc, rng},
-                     tk.flow, tk.ctx));
-          return;
-        }
+        tk.at = w.at;
+        tk.steps = w.steps;
+        tk.acc = w.counter;
+        if (hand_off(s, tk, cell, outs)) return;
       }
     });
 
-    stamp(batch.stats, m, timer);
+    stamp(batch.stats, m, ctx.timer);
     detail::finish_tour_batch(batch);
     finalize(ctx, batch.stats);
     return batch;
@@ -272,46 +231,24 @@ class ShardedWalkEngine {
     OVERCOUNT_EXPECTS(timer_horizon > 0.0);
     if constexpr (probe_enabled_v<P>)
       OVERCOUNT_EXPECTS(probes.size() == m);
-    const std::uint32_t cost_ctx = cost_current();
-    TraceSpan cost_span("cost", "cost.ctx", "cost_ctx",
-                        static_cast<std::uint64_t>(cost_ctx));
-    TraceSpan batch_span("shard", "shard.run_samples", "m",
-                         static_cast<std::uint64_t>(m));
-    const BatchTimer timer;
+    BatchContext ctx(graph_->num_shards(), "shard.run_samples", "m", m);
     SampleBatch batch;
     batch.samples.resize(m);
-    auto streams = derive_streams(seed, m);
-    BatchContext ctx(graph_->num_shards());
-    ctx.cost_ctx = cost_ctx;
-
-    // A CTRW walk starts with the sojourn draw at the origin, so every walk
-    // seeds as a token AT the origin (walk_begin emitted, no draw yet).
-    const std::uint64_t flow_base = reserve_flows(m);
-    std::vector<std::vector<WalkToken>> seeds(graph_->num_shards());
-    const std::uint32_t home = graph_->owner(origin);
-    for (std::size_t i = 0; i < m; ++i) {
-      if constexpr (probe_enabled_v<P>) probes[i].walk_begin(origin);
-      seeds[home].push_back(seed_token(
-          {static_cast<std::uint32_t>(i), WalkKind::kSample, origin, 0,
-           timer_horizon, streams[i]},
-          flow_base, i, cost_ctx));
-    }
-    push_seeds(ctx, seeds);
+    seed_at_origin(ctx, WalkKind::kSample, origin, timer_horizon,
+                   derive_streams(seed, m), probes);
 
     run_rounds(ctx, m, [&](std::uint32_t s, WalkToken& tk, Cell& cell,
                            std::vector<std::vector<WalkToken>>& outs) {
       // Token invariant: tk.at visited, its sojourn not yet drawn;
       // tk.acc = remaining timer, tk.steps = hops so far.
-      const auto status =
-          advance_ctrw(s, tk, cell, outs, WalkKind::kSample, probes);
-      if (status.finished) {
+      if (advance_ctrw(s, tk, cell, outs, probes)) {
         trace_flow("shard", "walk.flow", 'f', tk.flow);
-        batch.samples[tk.walk] = {status.node, status.hops};
+        batch.samples[tk.walk] = {tk.at, tk.steps};
         ++cell.retired;
       }
     });
 
-    stamp(batch.stats, m, timer);
+    stamp(batch.stats, m, ctx.timer);
     detail::finish_sample_batch(batch);
     finalize(ctx, batch.stats);
     return batch;
@@ -340,91 +277,55 @@ class ShardedWalkEngine {
     OVERCOUNT_EXPECTS(ell >= 1);
     if constexpr (probe_enabled_v<P>)
       OVERCOUNT_EXPECTS(probes.size() == trials);
-    const std::uint32_t cost_ctx = cost_current();
-    TraceSpan cost_span("cost", "cost.ctx", "cost_ctx",
-                        static_cast<std::uint64_t>(cost_ctx));
-    TraceSpan batch_span("shard", "shard.run_sc_trials", "trials",
-                         static_cast<std::uint64_t>(trials));
-    const BatchTimer timer;
+    BatchContext ctx(graph_->num_shards(), "shard.run_sc_trials", "trials",
+                     trials);
     ScBatch batch;
     batch.trials.resize(trials);
-    auto streams = derive_streams(seed, trials);
-    BatchContext ctx(graph_->num_shards());
-    ctx.cost_ctx = cost_ctx;
 
-    struct TrialState {
-      CollisionTracker tracker;
-      std::uint64_t hops = 0;
-      std::uint64_t prev_collision_at = 0;
-    };
     // Only the home shard's worker touches trial state (all trials share
     // the origin, hence the home), so no synchronization is needed beyond
     // the round barrier.
-    std::vector<TrialState> trial_state(trials);
+    std::vector<ScTrial> trial_state(trials);
     const std::uint32_t home = graph_->owner(origin);
+    seed_at_origin(ctx, WalkKind::kScWalk, origin, timer_horizon,
+                   derive_streams(seed, trials), probes);
 
-    const std::uint64_t flow_base = reserve_flows(trials);
-    std::vector<std::vector<WalkToken>> seeds(graph_->num_shards());
-    for (std::size_t t = 0; t < trials; ++t) {
-      if constexpr (probe_enabled_v<P>) probes[t].walk_begin(origin);
-      seeds[home].push_back(seed_token(
-          {static_cast<std::uint32_t>(t), WalkKind::kScWalk, origin, 0,
-           timer_horizon, streams[t]},
-          flow_base, t, cost_ctx));
-    }
-    push_seeds(ctx, seeds);
-
-    run_rounds(ctx, trials, [&](std::uint32_t s, WalkToken& token, Cell& cell,
+    run_rounds(ctx, trials, [&](std::uint32_t s, WalkToken& tk, Cell& cell,
                                 std::vector<std::vector<WalkToken>>& outs) {
-      WalkToken tk = token;
       for (;;) {
         if (tk.kind == WalkKind::kScReport) {
           // At home: fold the sampled node into the trial, then either
           // finalize or launch the next walk on the reported stream.
-          TrialState& st = trial_state[tk.walk];
-          st.hops += tk.steps;
-          const bool collided = st.tracker.feed(tk.at);
-          if (collided) {
-            if constexpr (probe_enabled_v<P>)
-              probes[tk.walk].on_collision(st.tracker.samples() -
-                                           st.prev_collision_at);
-            st.prev_collision_at = st.tracker.samples();
-          }
-          if (st.tracker.collisions() >= ell) {
+          ScTrial& trial = trial_state[tk.walk];
+          trial.feed(tk.at, tk.steps, walk_probe(probes, tk.walk));
+          if (trial.done(ell)) {
             trace_flow("shard", "walk.flow", 'f', tk.flow);
-            batch.trials[tk.walk] = detail::finalize_sc_trial(
-                ScTrialRaw{st.tracker.samples(), st.hops}, ell);
+            batch.trials[tk.walk] =
+                detail::finalize_sc_trial(trial.raw(), ell);
             ++cell.retired;
             return;
           }
           if constexpr (probe_enabled_v<P>) probes[tk.walk].walk_begin(origin);
-          const std::uint64_t flow = tk.flow;  // trial-long causal chain
-          const std::uint32_t cctx = tk.ctx;   // trial-long accounting
-          tk = {tk.walk, WalkKind::kScWalk, origin, 0, timer_horizon, tk.rng};
-          tk.flow = flow;
-          tk.ctx = cctx;
+          // The next walk keeps the trial-long flow id and cost context.
+          tk.kind = WalkKind::kScWalk;
+          tk.at = origin;
+          tk.steps = 0;
+          tk.acc = timer_horizon;
           continue;  // fall through into the walk phase
         }
-        const auto status =
-            advance_ctrw(s, tk, cell, outs, WalkKind::kScWalk, probes);
-        if (!status.finished) return;  // walk handed off mid-flight
-        // Walk died at status.node: report home. When this worker IS home,
+        if (!advance_ctrw(s, tk, cell, outs, probes))
+          return;  // walk handed off mid-flight
+        // Walk died at tk.at: report home. When this worker IS home,
         // process the report inline — same round, same deterministic order.
-        WalkToken report{tk.walk, WalkKind::kScReport, status.node,
-                         status.hops, 0.0, status.rng};
-        report.flow = tk.flow;
-        report.ctx = tk.ctx;
-        if (s == home) {
-          tk = report;
-          continue;
-        }
+        tk.kind = WalkKind::kScReport;
+        if (s == home) continue;
         ++cell.reports;
-        outs[home].push_back(frozen(report, tk.flow, tk.ctx));
+        outs[home].push_back(frozen(tk));
         return;
       }
     });
 
-    stamp(batch.stats, trials, timer);
+    stamp(batch.stats, trials, ctx.timer);
     detail::finish_sc_batch(batch);
     finalize(ctx, batch.stats);
     return batch;
@@ -446,16 +347,6 @@ class ShardedWalkEngine {
     std::size_t depth = 0;
   };
 
-  struct BatchContext {
-    explicit BatchContext(std::uint32_t shards)
-        : mail(shards), cells(shards) {}
-    std::vector<ShardMailbox> mail;
-    std::vector<Cell> cells;
-    ShardRunStats stats;
-    std::size_t retired = 0;  ///< walks finished (incl. during seeding)
-    std::uint32_t cost_ctx = 0;  ///< cost context the batch is charged to
-  };
-
   /// Wall+CPU stopwatch matching ParallelRunner::dispatch's accounting.
   class BatchTimer {
    public:
@@ -474,89 +365,83 @@ class ShardedWalkEngine {
     std::clock_t cpu_;
   };
 
-  /// Outcome of advancing one CTRW token within a shard.
-  struct CtrwStatus {
-    bool finished = false;  ///< timer died (else: handed off via outs)
-    NodeId node = 0;        ///< node where the timer died
-    std::uint64_t hops = 0; ///< hops of THIS walk at death
-    Rng rng{0};             ///< stream state at death (S&C continues on it)
+  /// One run_* batch, open for as long as it lives. Attribution boundary:
+  /// the whole batch — every step, handoff and token — is charged to the
+  /// caller's cost context (obs/cost/), and the enclosing cost.ctx span is
+  /// what the flamegraph folder keys on to splice (tenant, query) frames
+  /// above the batch.
+  struct BatchContext {
+    BatchContext(std::uint32_t shards, const char* span, const char* arg,
+                 std::size_t walks)
+        : cost_ctx(cost_current()),
+          cost_span("cost", "cost.ctx", "cost_ctx", cost_ctx),
+          batch_span("shard", span, arg, walks),
+          flow_base(reserve_flows(walks)),
+          mail(shards),
+          cells(shards),
+          seeds(shards) {}
+    std::uint32_t cost_ctx;  ///< cost context the batch is charged to
+    TraceSpan cost_span;
+    TraceSpan batch_span;
+    BatchTimer timer;
+    std::uint64_t flow_base;  ///< first flow id of the batch (0 = untraced)
+    std::vector<ShardMailbox> mail;
+    std::vector<Cell> cells;
+    std::vector<std::vector<WalkToken>> seeds;  ///< round-0 tokens by shard
+    ShardRunStats stats;
+    std::size_t retired = 0;  ///< walks finished (incl. during seeding)
   };
 
-  /// Advances a CTRW token (kSample or kScWalk) until the timer dies or
-  /// the walk leaves shard `s`. Mirrors walk/walkers.hpp's ctrw_sample
-  /// exactly — same draw order, same probe hook order — with the stitched
-  /// fast path consuming precomputed sojourns+steps when enabled.
-  template <WalkProbe P>
-  CtrwStatus advance_ctrw(std::uint32_t s, const WalkToken& tk, Cell& cell,
-                          std::vector<std::vector<WalkToken>>& outs,
-                          WalkKind kind, std::span<P> probes) {
-    NodeId at = tk.at;
-    double remaining = tk.acc;
-    std::uint64_t hops = tk.steps;
-    Rng rng = tk.rng;
-    for (;;) {
-      if (store_ != nullptr) {
-        if (const WalkSegment* seg = store_->take(at)) {
-          ++cell.stitches;
-          const std::size_t len = seg->nodes.size() - 1;
-          trace_flow("shard", "walk.stitch", 't', tk.flow, "len",
-                     static_cast<std::uint64_t>(len));
-          for (std::size_t k = 0; k < len; ++k) {
-            const double sojourn = seg->sojourns[k];
-            if constexpr (probe_enabled_v<P>)
-              probes[tk.walk].on_sojourn(std::min(sojourn, remaining));
-            remaining -= sojourn;
-            if (remaining <= 0.0) {
-              if constexpr (probe_enabled_v<P>) probes[tk.walk].sample_end(hops);
-              return {true, seg->nodes[k], hops, rng};
-            }
-            at = seg->nodes[k + 1];
-            ++hops;
-            ++cell.stitch_steps;
-            if constexpr (probe_enabled_v<P>) probes[tk.walk].on_visit(at);
-          }
-          if (graph_->owner(at) != s) {
-            ++cell.handoffs;
-            outs[graph_->owner(at)].push_back(
-                frozen({tk.walk, kind, at, hops, remaining, rng}, tk.flow,
-                       tk.ctx));
-            return {};
-          }
-          continue;
-        }
-      }
-      const auto degree = graph_->degree(at);
-      OVERCOUNT_HOT_EXPECTS(degree > 0);
-      const double sojourn = rng.exponential(static_cast<double>(degree));
-      if constexpr (probe_enabled_v<P>)
-        probes[tk.walk].on_sojourn(std::min(sojourn, remaining));
-      remaining -= sojourn;
-      if (remaining <= 0.0) {
-        if constexpr (probe_enabled_v<P>) probes[tk.walk].sample_end(hops);
-        return {true, at, hops, rng};
-      }
-      const auto row = graph_->neighbors(at);
-      at = row[rng.uniform_below(row.size())];
-      ++hops;
-      if constexpr (probe_enabled_v<P>) probes[tk.walk].on_visit(at);
-      if (graph_->owner(at) != s) {
-        ++cell.handoffs;
-        outs[graph_->owner(at)].push_back(
-            frozen({tk.walk, kind, at, hops, remaining, rng}, tk.flow,
-                   tk.ctx));
-        return {};
-      }
+  /// Replays a segment at every visit to a pooled node: starts one when
+  /// stitching is on, none is being replayed and the store pools `at`.
+  void take_segment(StitchedDraws& draws, NodeId at, Cell& cell,
+                    std::uint64_t flow) {
+    if (store_ == nullptr || draws.replaying()) return;
+    if (const WalkSegment* seg = store_->take(at)) {
+      ++cell.stitches;
+      trace_flow("shard", "walk.stitch", 't', flow, "len",
+                 static_cast<std::uint64_t>(seg->nodes.size() - 1));
+      draws.replay(*seg);
     }
   }
 
+  /// Pushes token `tk` to the owner of tk.at when that is not shard `s`;
+  /// returns false, doing nothing, when s owns it.
+  bool hand_off(std::uint32_t s, const WalkToken& tk, Cell& cell,
+                std::vector<std::vector<WalkToken>>& outs) const {
+    const std::uint32_t owner = graph_->owner(tk.at);
+    if (owner == s) return false;
+    ++cell.handoffs;
+    outs[owner].push_back(frozen(tk));
+    return true;
+  }
+
+  /// Advances a CTRW token (kSample or kScWalk) until the timer dies or
+  /// the walk leaves shard `s`: walk/step.hpp's CTRW hop, so the same draw
+  /// order and probe hook order as walk/walkers.hpp's ctrw_sample. Returns
+  /// true when the timer died: tk.at is then the sample, tk.steps its hops
+  /// and tk.rng the stream to continue on.
   template <WalkProbe P>
-  void retire_tour(TourBatch& batch, std::span<P> probes, std::uint32_t walk,
-                   double value, std::uint64_t steps, bool completed,
-                   Cell& cell, std::uint64_t flow) {
-    trace_flow("shard", "walk.flow", 'f', flow);
-    if constexpr (probe_enabled_v<P>) probes[walk].tour_end(steps, completed);
-    batch.tours[walk] = {value, steps, completed};
-    ++cell.retired;
+  bool advance_ctrw(std::uint32_t s, WalkToken& tk, Cell& cell,
+                    std::vector<std::vector<WalkToken>>& outs,
+                    std::span<P> probes) {
+    CtrwWalk w{tk.at, tk.acc, tk.steps};
+    StitchedDraws draws(tk.rng);
+    P& probe = walk_probe(probes, tk.walk);
+    for (;;) {
+      take_segment(draws, w.at, cell, tk.flow);
+      const NodeId* next = ctrw_hop(*graph_, w, draws, probe);
+      if (next != nullptr) {
+        ctrw_arrive(w, *next, probe);
+        if (draws.mid_segment()) continue;
+      }
+      cell.stitch_steps += draws.finish();
+      tk.at = w.at;
+      tk.steps = w.hops;
+      tk.acc = w.remaining;
+      if (next == nullptr) return true;
+      if (hand_off(s, tk, cell, outs)) return false;
+    }
   }
 
   /// Microseconds since engine construction — the clock both ends of a
@@ -578,42 +463,53 @@ class ShardedWalkEngine {
                : 0;
   }
 
-  /// Stamps migration metadata on a freshly seeded token and opens its
-  /// causal chain ('s' flow event on the driver, inside the batch span).
-  /// The cost context rides the token so the thawing shard charges every
-  /// delivery to the (tenant, query) that seeded the walk.
-  WalkToken seed_token(WalkToken t, std::uint64_t flow_base, std::size_t i,
-                       std::uint32_t cost_ctx) const noexcept {
-    if (flow_base != 0) {
-      t.flow = flow_base + i;
-      trace_flow("shard", "walk.flow", 's', t.flow, "walk",
-                 static_cast<std::uint64_t>(i));
+  /// Queues a freshly seeded token for `shard`, stamping its migration
+  /// metadata and opening its causal chain ('s' flow event on the driver,
+  /// inside the batch span). The cost context rides the token so the
+  /// thawing shard charges every delivery to the (tenant, query) that
+  /// seeded the walk.
+  void seed_token(BatchContext& ctx, std::uint32_t shard,
+                  WalkToken t) const {
+    if (ctx.flow_base != 0) {
+      t.flow = ctx.flow_base + t.walk;
+      trace_flow("shard", "walk.flow", 's', t.flow, "walk", t.walk);
     }
+    t.ctx = ctx.cost_ctx;
+    ctx.seeds[shard].push_back(frozen(t));
+  }
+
+  /// Stamps the freeze time of a migrating token, which feeds the latency
+  /// histogram at the destination; the walk's flow id and cost context
+  /// ride along in the token. Touches no walk state and no Rng.
+  WalkToken frozen(WalkToken t) const noexcept {
     if (latency_m_ != nullptr) t.frozen_us = engine_now_us();
-    t.ctx = cost_ctx;
     return t;
   }
 
-  /// Stamps migration metadata on a mid-walk handoff token: the walk's flow
-  /// id and cost context ride along, and the freeze time feeds the latency
-  /// histogram at the destination. Touches no walk state and no Rng.
-  WalkToken frozen(WalkToken t, std::uint64_t flow,
-                   std::uint32_t cost_ctx) const noexcept {
-    t.flow = flow;
-    if (latency_m_ != nullptr) t.frozen_us = engine_now_us();
-    t.ctx = cost_ctx;
-    return t;
+  /// Seeds every walk of a CTRW batch as a token AT the origin, walk_begin
+  /// emitted and no draw yet: a CTRW walk starts with the sojourn draw at
+  /// the origin.
+  template <WalkProbe P>
+  void seed_at_origin(BatchContext& ctx, WalkKind kind, NodeId origin,
+                      double timer, const std::vector<Rng>& streams,
+                      std::span<P> probes) {
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+      if constexpr (probe_enabled_v<P>) probes[i].walk_begin(origin);
+      seed_token(ctx, graph_->owner(origin),
+                 {static_cast<std::uint32_t>(i), kind, origin, 0, timer,
+                  streams[i]});
+    }
+    push_seeds(ctx);
   }
 
-  void push_seeds(BatchContext& ctx,
-                  std::vector<std::vector<WalkToken>>& seeds) {
+  void push_seeds(BatchContext& ctx) {
     // The driver's seed bundles carry a source id past every shard; they
     // are the only bundles of round 0, so the tag only keeps drain order
     // well-defined.
     const std::uint32_t driver = graph_->num_shards();
     for (std::uint32_t d = 0; d < graph_->num_shards(); ++d) {
-      ctx.stats.tokens_issued += seeds[d].size();
-      ctx.mail[d].push_bundle(driver, std::move(seeds[d]));
+      ctx.stats.tokens_issued += ctx.seeds[d].size();
+      ctx.mail[d].push_bundle(driver, std::move(ctx.seeds[d]));
     }
   }
 
@@ -665,7 +561,7 @@ class ShardedWalkEngine {
           // charges work it does ON BEHALF of a query it never admitted.
           cost_charge_ctx(tk.ctx, CostField::kTokens, 1);
           // Thaw accounting: freeze-to-thaw time of the migration this
-          // token just completed (stamped by seed_token/frozen).
+          // token just completed (stamped by frozen).
           if (tk.frozen_us != 0 && latency_m_ != nullptr)
             latency_m_->record(engine_now_us() - tk.frozen_us);
           if (tk.flow != 0) {

@@ -1,8 +1,21 @@
 #include "shard/segment.hpp"
 
+#include <limits>
+
 #include "runtime/parallel_runner.hpp"
 
 namespace overcount {
+
+namespace {
+
+/// Probe that writes each sojourn it sees to consecutive slots.
+struct SojournLog : NullProbe {
+  static constexpr bool enabled = true;
+  double* next;
+  void on_sojourn(double dt) noexcept { *next++ = dt; }
+};
+
+}  // namespace
 
 SegmentStore::SegmentStore(const ShardedGraph& g, StitchConfig cfg)
     : graph_(&g), cfg_(cfg) {
@@ -22,18 +35,20 @@ SegmentStore::SegmentStore(const ShardedGraph& g, StitchConfig cfg)
 }
 
 void SegmentStore::fill(WalkSegment& seg, NodeId v, Rng& stream) const {
+  // A segment is lambda CTRW hops from v on the node's stream under a timer
+  // that never dies, so its draws come in the hop's order by construction;
+  // the probe keeps each hop's sojourn.
   const std::size_t lambda = cfg_.segment_length;
   seg.nodes.resize(lambda + 1);
   seg.sojourns.resize(lambda);
   seg.nodes[0] = v;
-  NodeId at = v;
+  OVERCOUNT_EXPECTS(graph_->degree(v) > 0);
+  CtrwWalk walk{v, std::numeric_limits<double>::infinity(), 0};
+  StreamDraws draws(stream);
+  SojournLog log{{}, seg.sojourns.data()};
   for (std::size_t i = 0; i < lambda; ++i) {
-    const auto d = graph_->degree(at);
-    OVERCOUNT_EXPECTS(d > 0);
-    seg.sojourns[i] = stream.exponential(static_cast<double>(d));
-    const auto nbrs = graph_->neighbors(at);
-    at = nbrs[stream.uniform_below(nbrs.size())];
-    seg.nodes[i + 1] = at;
+    ctrw_arrive(walk, *ctrw_hop(*graph_, walk, draws, log), log);
+    seg.nodes[i + 1] = walk.at;
   }
   generated_.fetch_add(1, std::memory_order_relaxed);
 }

@@ -5,9 +5,12 @@
 //
 // Every handoff delivers a walk to a node that has at least one neighbour
 // in the sending shard — i.e. a BOUNDARY node of the receiving shard. The
-// store therefore pools segments exactly at boundary nodes: on arrival the
-// engine consumes a whole lambda-step segment in one go, so a walk pays at
-// most one handoff per lambda steps instead of one per crossing edge.
+// store therefore pools segments exactly at boundary nodes, and the engine
+// takes one at EVERY visit to a pooled node: on arrival by handoff, and
+// equally when a step inside the shard, or the end of a previous segment,
+// lands on one. The walk replays the whole lambda-step segment before its
+// next owner check, so it pays at most one handoff per lambda steps instead
+// of one per crossing edge.
 //
 // Randomness discipline: segment draws come from per-NODE streams — the
 // v-th Rng::split of a master seeded with the stitch seed, the same
@@ -27,12 +30,16 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "shard/shard_graph.hpp"
 #include "util/rng.hpp"
+#include "walk/step.hpp"
 
 namespace overcount {
 
@@ -42,6 +49,39 @@ namespace overcount {
 struct WalkSegment {
   std::vector<NodeId> nodes;
   std::vector<double> sojourns;
+};
+
+/// Draw source (walk/step.hpp) of a walk that may be stitched. While a
+/// segment is being replayed, the k-th step spends sojourns[k] and moves to
+/// nodes[k + 1]; otherwise the draws come from the walk's own stream.
+class StitchedDraws {
+ public:
+  explicit StitchedDraws(Rng& stream) noexcept : stream_(stream) {}
+
+  /// Starts replaying `seg`, which starts at the walk's current node.
+  void replay(const WalkSegment& seg) noexcept { seg_ = &seg; }
+  bool replaying() const noexcept { return seg_ != nullptr; }
+  /// True while a segment is part-way through.
+  bool mid_segment() const noexcept {
+    return seg_ != nullptr && k_ + 1 < seg_->nodes.size();
+  }
+  /// Ends the replay, if any; returns the steps it covered.
+  std::size_t finish() noexcept {
+    seg_ = nullptr;
+    return std::exchange(k_, 0);
+  }
+
+  double sojourn(std::size_t degree) {
+    return seg_ != nullptr ? seg_->sojourns[k_] : stream_.sojourn(degree);
+  }
+  const NodeId* next(std::span<const NodeId> row) {
+    return seg_ != nullptr ? &seg_->nodes[++k_] : stream_.next(row);
+  }
+
+ private:
+  StreamDraws stream_;
+  const WalkSegment* seg_ = nullptr;
+  std::size_t k_ = 0;
 };
 
 /// Stitching parameters. `segment_length` is lambda — the handoff

@@ -12,14 +12,21 @@
 // INDEPENDENT walks in one thread, round-robin, so W loads are in flight at
 // once instead of one.
 //
-// Each lane alternates two phases per step, giving every potentially-missing
-// load a full rotation (W-1 other lane turns) between prefetch and use:
+// One lane driver (drive_lanes) owns the band: the lane vector, the
+// round-robin rotation, and retiring a finished walk's lane or refilling it
+// with the next walk. Each kernel supplies only its lane state, a start and
+// the two halves of its step — the walk steps of walk/step.hpp, drawn from
+// the walk's own stream through StreamDraws. Each lane alternates two phases
+// per step, giving every potentially-missing load a full rotation (W-1
+// other lane turns) between prefetch and use:
 //
 //   read phase     at = *ptr            adjacency element, prefetched one
 //                                       rotation ago when ptr was drawn
+//                  arrive(at)           tour_arrive / ctrw_arrive
 //                  prefetch offsets[at] via kernel_prefetch / G::prefetch
-//   process phase  nbrs = neighbors(at) offsets now (likely) cached
-//                  draw k; ptr = &nbrs[k]; __builtin_prefetch(ptr)
+//   process phase  step                 tour_step / ctrw_hop: neighbors(at),
+//                                       offsets now (likely) cached; draw
+//                                       ptr = &nbrs[k]; __builtin_prefetch
 //
 // Determinism contract: lane w draws ONLY from streams[w], in exactly the
 // order the scalar code (core/random_tour.hpp random_tour, walk/walkers.hpp
@@ -39,14 +46,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
-// TourEstimate and SampleResult are header-only result structs; including
-// them here adds no link dependency, so the walk library stays below core.
-#include "core/random_tour.hpp"
 #include "obs/probe.hpp"
 #include "obs/trace.hpp"
+#include "walk/collision.hpp"
+#include "walk/step.hpp"
 #include "walk/topology.hpp"
 #include "walk/walkers.hpp"
 
@@ -65,26 +71,76 @@ inline void kernel_prefetch(const G& g, NodeId v) noexcept {
   if constexpr (requires { g.prefetch(v); }) g.prefetch(v);
 }
 
-/// Raw outcome of one Sample & Collide trial run by sc_kernel: the
-/// sufficient statistic C_ell plus the message bill. The estimator math
-/// (ML root, closed form, brackets) lives in core/sample_collide.hpp and is
-/// applied by the batch layer, keeping walk/ below core/ in the layering.
-struct ScTrialRaw {
-  std::uint64_t samples = 0;  ///< C_ell: samples drawn until ell collisions
-  std::uint64_t hops = 0;     ///< total CTRW hops across those samples
+/// One lane of the band: the walk it runs (an index into the kernel's
+/// streams/out/probes), the kernel's walk state, and the adjacency element
+/// its next read phase loads (nullptr: the next turn is a process phase).
+template <typename State>
+struct KernelLane {
+  std::size_t walk = 0;
+  const NodeId* ptr = nullptr;
+  std::uint64_t trace_t0 = 0;  ///< span start (only written when tracing)
+  State state{};
 };
 
-namespace kernel_detail {
+/// The lane driver: runs walks 0..count-1 from `origin` at most `width` at
+/// a time, round-robin, one phase per turn, after checking the kernel
+/// call's boundary contract (one stream and, for an enabled probe type, one
+/// probe per walk; a walkable origin). The kernel supplies
+///   start(lane)        begin walk lane.walk (its first turn processes)
+///   arrive(lane, at)   read phase: the walk moved to `at`
+///   step(lane)         process phase: set lane.ptr to the drawn element,
+///                      or leave it null to process again at once
+/// where arrive and step return true once the walk is finished and its
+/// result written. A finished lane is refilled with the next walk, or
+/// retired when none is left.
+template <typename State, OverlayTopology G, WalkProbe P, typename Start,
+          typename Arrive, typename Step>
+void drive_lanes(const G& g, NodeId origin, std::size_t streams,
+                 std::size_t count, std::size_t width, std::span<P> probes,
+                 Start&& start, Arrive&& arrive, Step&& step) {
+  OVERCOUNT_EXPECTS(streams == count);
+  OVERCOUNT_EXPECTS(width >= 1);
+  if constexpr (probe_enabled_v<P>) OVERCOUNT_EXPECTS(probes.size() == count);
+  if (count == 0) return;
+  OVERCOUNT_EXPECTS(g.degree(origin) > 0);
+  using Lane = KernelLane<State>;
+  std::size_t next_walk = 0;
+  auto refill = [&](Lane& lane) {
+    lane.walk = next_walk++;
+    lane.ptr = nullptr;
+    start(lane);
+  };
+  std::vector<Lane> lanes(std::min(width, count));
+  for (Lane& lane : lanes) refill(lane);
 
-/// Start-of-walk draw shared by tour lanes: pick the first step out of the
-/// origin on the lane's own stream and prefetch the adjacency element.
-inline const NodeId* draw_step(std::span<const NodeId> nbrs, Rng& rng) {
-  const NodeId* p = nbrs.data() + rng.uniform_below(nbrs.size());
-  __builtin_prefetch(p);
-  return p;
+  std::size_t li = 0;
+  while (!lanes.empty()) {
+    if (li >= lanes.size()) li = 0;
+    Lane& lane = lanes[li];
+    if (lane.ptr != nullptr) {
+      const NodeId at = *lane.ptr;
+      lane.ptr = nullptr;
+      if (!arrive(lane, at)) {
+        kernel_prefetch(g, at);
+        ++li;
+        continue;
+      }
+    } else if (!step(lane)) {
+      if (lane.ptr != nullptr) {
+        __builtin_prefetch(lane.ptr);
+        ++li;
+      }
+      continue;
+    }
+    if (next_walk < count) {
+      refill(lane);
+    } else {
+      lanes[li] = std::move(lanes.back());
+      lanes.pop_back();
+    }
+    // the refilled (or swapped-in) lane takes this turn next
+  }
 }
-
-}  // namespace kernel_detail
 
 /// Interleaved Random Tours: walk w of `out.size()` runs from `origin` on
 /// `streams[w]`, estimating sum_j f(j), bit-identical to
@@ -97,80 +153,34 @@ template <OverlayTopology G, typename F, WalkProbe P = NullProbe>
 void tour_kernel(const G& g, NodeId origin, F&& f, std::span<Rng> streams,
                  std::span<TourEstimate> out, std::size_t width,
                  std::uint64_t max_steps = ~0ULL, std::span<P> probes = {}) {
-  OVERCOUNT_EXPECTS(streams.size() == out.size());
-  OVERCOUNT_EXPECTS(width >= 1);
-  if constexpr (probe_enabled_v<P>)
-    OVERCOUNT_EXPECTS(probes.size() == out.size());
-  if (out.empty()) return;
-  const auto origin_nbrs = g.neighbors(origin);
-  OVERCOUNT_EXPECTS(!origin_nbrs.empty());
-  const double d_origin = static_cast<double>(origin_nbrs.size());
-  const double counter0 = f(origin) / d_origin;
-
-  struct Lane {
-    std::size_t walk;      // index into streams/out/probes
-    NodeId at;             // node being processed (process phase)
-    double counter;        // scalar random_tour's X accumulator
-    std::uint64_t steps;
-    std::uint64_t trace_t0;  // span start (only written when tracing)
-    const NodeId* ptr;     // adjacency element the next read phase loads
-    bool read_phase;
-  };
-
   // Tracing is checked ONCE per kernel call: lane lifecycle spans cost two
   // clock reads per WALK when a recorder is installed, and a dead branch
   // otherwise. No trace call touches any stream, so traced batches stay
   // bit-identical (obs/trace.hpp).
   const bool tracing = trace_active();
-  std::size_t next_walk = 0;
-  auto start = [&](Lane& lane) {
-    lane.walk = next_walk++;
-    if (tracing) lane.trace_t0 = trace_now_us();
-    if constexpr (probe_enabled_v<P>) probes[lane.walk].walk_begin(origin);
-    lane.counter = counter0;
-    lane.ptr = kernel_detail::draw_step(origin_nbrs, streams[lane.walk]);
-    lane.steps = 1;
-    lane.read_phase = true;
-  };
-
-  std::vector<Lane> lanes(std::min(width, out.size()));
-  for (auto& lane : lanes) start(lane);
-
-  std::size_t li = 0;
-  while (!lanes.empty()) {
-    if (li >= lanes.size()) li = 0;
-    Lane& lane = lanes[li];
-    if (lane.read_phase) {
-      const NodeId at = *lane.ptr;
-      if (at == origin || lane.steps >= max_steps) {
-        const bool completed = at == origin;
-        if constexpr (probe_enabled_v<P>)
-          probes[lane.walk].tour_end(lane.steps, completed);
+  drive_lanes<TourWalk>(
+      g, origin, streams.size(), out.size(), width, probes,
+      [&](auto& lane) {
+        if (tracing) lane.trace_t0 = trace_now_us();
+        if constexpr (probe_enabled_v<P>) probes[lane.walk].walk_begin(origin);
+        lane.state = TourWalk::at_origin(origin);
+      },
+      [&](auto& lane, NodeId at) {
+        if (!tour_arrive(lane.state, at, origin, max_steps,
+                         walk_probe(probes, lane.walk)))
+          return false;
         if (tracing)
-          trace_complete("walk", "tour", lane.trace_t0, "steps", lane.steps);
-        out[lane.walk] = {d_origin * lane.counter, lane.steps, completed};
-        if (next_walk < out.size()) {
-          start(lane);
-        } else {
-          lanes[li] = lanes.back();
-          lanes.pop_back();
-        }
-        continue;  // the refilled (or swapped-in) lane takes this turn next
-      }
-      if constexpr (probe_enabled_v<P>) probes[lane.walk].on_visit(at);
-      lane.at = at;
-      kernel_prefetch(g, at);
-      lane.read_phase = false;
-    } else {
-      const auto nbrs = g.neighbors(lane.at);
-      OVERCOUNT_HOT_EXPECTS(!nbrs.empty());
-      lane.counter += f(lane.at) / static_cast<double>(nbrs.size());
-      lane.ptr = kernel_detail::draw_step(nbrs, streams[lane.walk]);
-      ++lane.steps;
-      lane.read_phase = true;
-    }
-    ++li;
-  }
+          trace_complete("walk", "tour", lane.trace_t0, "steps",
+                         lane.state.steps);
+        out[lane.walk] =
+            lane.state.result(static_cast<double>(g.degree(origin)), origin);
+        return true;
+      },
+      [&](auto& lane) {
+        StreamDraws draws(streams[lane.walk]);
+        lane.ptr = tour_step(g, f, lane.state, draws);
+        return false;
+      });
 }
 
 /// Interleaved CTRW sampling walks: walk w runs from `origin` with horizon
@@ -180,80 +190,33 @@ template <OverlayTopology G, WalkProbe P = NullProbe>
 void ctrw_kernel(const G& g, NodeId origin, double timer,
                  std::span<Rng> streams, std::span<SampleResult> out,
                  std::size_t width, std::span<P> probes = {}) {
-  OVERCOUNT_EXPECTS(streams.size() == out.size());
-  OVERCOUNT_EXPECTS(width >= 1);
   OVERCOUNT_EXPECTS(timer > 0.0);
-  if constexpr (probe_enabled_v<P>)
-    OVERCOUNT_EXPECTS(probes.size() == out.size());
-  if (out.empty()) return;
-  OVERCOUNT_EXPECTS(g.degree(origin) > 0);
-
-  struct Lane {
-    std::size_t walk;
-    NodeId at;
-    double remaining;
-    std::uint64_t hops;
-    std::uint64_t trace_t0;  // span start (only written when tracing)
-    const NodeId* ptr;
-    bool read_phase;
-  };
 
   // One active-recorder check per kernel call; spans are per WALK, never per
   // step, and touch no stream (see tour_kernel).
   const bool tracing = trace_active();
-  std::size_t next_walk = 0;
-  auto start = [&](Lane& lane) {
-    lane.walk = next_walk++;
-    if (tracing) lane.trace_t0 = trace_now_us();
-    if constexpr (probe_enabled_v<P>) probes[lane.walk].walk_begin(origin);
-    lane.at = origin;
-    lane.remaining = timer;
-    lane.hops = 0;
-    lane.read_phase = false;  // scalar ctrw_sample processes the origin first
-  };
-
-  std::vector<Lane> lanes(std::min(width, out.size()));
-  for (auto& lane : lanes) start(lane);
-
-  std::size_t li = 0;
-  while (!lanes.empty()) {
-    if (li >= lanes.size()) li = 0;
-    Lane& lane = lanes[li];
-    if (lane.read_phase) {
-      lane.at = *lane.ptr;
-      if constexpr (probe_enabled_v<P>) probes[lane.walk].on_visit(lane.at);
-      kernel_prefetch(g, lane.at);
-      lane.read_phase = false;
-    } else {
-      const auto nbrs = g.neighbors(lane.at);
-      const std::size_t degree = nbrs.size();
-      OVERCOUNT_HOT_EXPECTS(degree > 0);
-      Rng& rng = streams[lane.walk];
-      const double sojourn = rng.exponential(static_cast<double>(degree));
-      if constexpr (probe_enabled_v<P>)
-        probes[lane.walk].on_sojourn(std::min(sojourn, lane.remaining));
-      lane.remaining -= sojourn;
-      if (lane.remaining <= 0.0) {
-        if constexpr (probe_enabled_v<P>)
-          probes[lane.walk].sample_end(lane.hops);
+  drive_lanes<CtrwWalk>(
+      g, origin, streams.size(), out.size(), width, probes,
+      [&](auto& lane) {
+        if (tracing) lane.trace_t0 = trace_now_us();
+        if constexpr (probe_enabled_v<P>) probes[lane.walk].walk_begin(origin);
+        lane.state = {origin, timer, 0};
+      },
+      [&](auto& lane, NodeId at) {
+        ctrw_arrive(lane.state, at, walk_probe(probes, lane.walk));
+        return false;
+      },
+      [&](auto& lane) {
+        StreamDraws draws(streams[lane.walk]);
+        lane.ptr =
+            ctrw_hop(g, lane.state, draws, walk_probe(probes, lane.walk));
+        if (lane.ptr != nullptr) return false;
         if (tracing)
           trace_complete("walk", "ctrw_sample", lane.trace_t0, "hops",
-                         lane.hops);
-        out[lane.walk] = {lane.at, lane.hops};
-        if (next_walk < out.size()) {
-          start(lane);
-        } else {
-          lanes[li] = lanes.back();
-          lanes.pop_back();
-        }
-        continue;
-      }
-      lane.ptr = kernel_detail::draw_step(nbrs, rng);
-      ++lane.hops;
-      lane.read_phase = true;
-    }
-    ++li;
-  }
+                         lane.state.hops);
+        out[lane.walk] = {lane.state.at, lane.state.hops};
+        return true;
+      });
 }
 
 /// Interleaved Sample & Collide trials: trial t of `out.size()` runs its
@@ -261,120 +224,56 @@ void ctrw_kernel(const G& g, NodeId origin, double timer,
 /// back-to-back, with the same draw and probe-event order as
 /// `SampleCollideEstimator(g, origin, timer, ell, streams[t]).estimate(
 /// probes[t])`. Returns the raw (C_ell, hops) statistic per trial; the batch
-/// layer applies the Section 4 estimator math. Collision bookkeeping mirrors
-/// core/sample_collide.hpp CollisionTracker: every sample whose node was
-/// already seen within the SAME trial counts one collision.
+/// layer applies the Section 4 estimator math. Collision bookkeeping is
+/// walk/collision.hpp's ScTrial: every sample whose node was already seen
+/// within the SAME trial counts one collision.
 template <OverlayTopology G, WalkProbe P = NullProbe>
 void sc_kernel(const G& g, NodeId origin, double timer, std::size_t ell,
                std::span<Rng> streams, std::span<ScTrialRaw> out,
                std::size_t width, std::span<P> probes = {}) {
-  OVERCOUNT_EXPECTS(streams.size() == out.size());
-  OVERCOUNT_EXPECTS(width >= 1);
   OVERCOUNT_EXPECTS(timer > 0.0);
   OVERCOUNT_EXPECTS(ell >= 1);
-  if constexpr (probe_enabled_v<P>)
-    OVERCOUNT_EXPECTS(probes.size() == out.size());
-  if (out.empty()) return;
-  OVERCOUNT_EXPECTS(g.degree(origin) > 0);
-
-  struct Lane {
-    std::size_t trial;
-    // trial-level state
-    std::unordered_set<NodeId> seen;
-    std::uint64_t samples;
-    std::uint64_t collisions;
-    std::uint64_t trial_hops;
-    std::uint64_t prev_collision_at;
-    std::uint64_t trace_t0;  // trial span start (only written when tracing)
-    // current sampling walk
-    NodeId at;
-    double remaining;
-    std::uint64_t walk_hops;
-    const NodeId* ptr;
-    bool read_phase;
+  struct TrialLane {
+    ScTrial trial;  // trial-level state
+    CtrwWalk walk;  // current sampling walk
   };
 
   // One active-recorder check per kernel call; one span per TRIAL plus an
   // instant per collision — never per step (see tour_kernel).
   const bool tracing = trace_active();
-  std::size_t next_trial = 0;
-  auto start_walk = [&](Lane& lane) {
-    if constexpr (probe_enabled_v<P>) probes[lane.trial].walk_begin(origin);
-    lane.at = origin;
-    lane.remaining = timer;
-    lane.walk_hops = 0;
-    lane.read_phase = false;
+  auto start_walk = [&](auto& lane) {
+    if constexpr (probe_enabled_v<P>) probes[lane.walk].walk_begin(origin);
+    lane.state.walk = {origin, timer, 0};
   };
-  auto start_trial = [&](Lane& lane) {
-    lane.trial = next_trial++;
-    if (tracing) lane.trace_t0 = trace_now_us();
-    lane.seen.clear();
-    lane.samples = 0;
-    lane.collisions = 0;
-    lane.trial_hops = 0;
-    lane.prev_collision_at = 0;
-    start_walk(lane);
-  };
-
-  std::vector<Lane> lanes(std::min(width, out.size()));
-  for (auto& lane : lanes) start_trial(lane);
-
-  std::size_t li = 0;
-  while (!lanes.empty()) {
-    if (li >= lanes.size()) li = 0;
-    Lane& lane = lanes[li];
-    if (lane.read_phase) {
-      lane.at = *lane.ptr;
-      if constexpr (probe_enabled_v<P>) probes[lane.trial].on_visit(lane.at);
-      kernel_prefetch(g, lane.at);
-      lane.read_phase = false;
-    } else {
-      const auto nbrs = g.neighbors(lane.at);
-      const std::size_t degree = nbrs.size();
-      OVERCOUNT_HOT_EXPECTS(degree > 0);
-      Rng& rng = streams[lane.trial];
-      const double sojourn = rng.exponential(static_cast<double>(degree));
-      if constexpr (probe_enabled_v<P>)
-        probes[lane.trial].on_sojourn(std::min(sojourn, lane.remaining));
-      lane.remaining -= sojourn;
-      if (lane.remaining <= 0.0) {
-        // the timer died at lane.at: one sample delivered
-        if constexpr (probe_enabled_v<P>)
-          probes[lane.trial].sample_end(lane.walk_hops);
-        lane.trial_hops += lane.walk_hops;
-        ++lane.samples;
-        if (!lane.seen.insert(lane.at).second) {
-          ++lane.collisions;
-          if constexpr (probe_enabled_v<P>)
-            probes[lane.trial].on_collision(lane.samples -
-                                            lane.prev_collision_at);
-          if (tracing)
-            trace_instant("walk", "sc.collision", "gap",
-                          lane.samples - lane.prev_collision_at);
-          lane.prev_collision_at = lane.samples;
-        }
-        if (lane.collisions >= ell) {
-          if (tracing)
-            trace_complete("walk", "sc.trial", lane.trace_t0, "samples",
-                           lane.samples);
-          out[lane.trial] = {lane.samples, lane.trial_hops};
-          if (next_trial < out.size()) {
-            start_trial(lane);
-          } else {
-            lanes[li] = std::move(lanes.back());
-            lanes.pop_back();
-          }
-        } else {
+  drive_lanes<TrialLane>(
+      g, origin, streams.size(), out.size(), width, probes,
+      [&](auto& lane) {
+        if (tracing) lane.trace_t0 = trace_now_us();
+        lane.state.trial.reset();
+        start_walk(lane);
+      },
+      [&](auto& lane, NodeId at) {
+        ctrw_arrive(lane.state.walk, at, walk_probe(probes, lane.walk));
+        return false;
+      },
+      [&](auto& lane) {
+        P& probe = walk_probe(probes, lane.walk);
+        StreamDraws draws(streams[lane.walk]);
+        lane.ptr = ctrw_hop(g, lane.state.walk, draws, probe);
+        if (lane.ptr != nullptr) return false;
+        // the timer died at walk.at: one sample delivered
+        ScTrial& trial = lane.state.trial;
+        trial.feed(lane.state.walk.at, lane.state.walk.hops, probe);
+        if (!trial.done(ell)) {
           start_walk(lane);
+          return false;
         }
-        continue;
-      }
-      lane.ptr = kernel_detail::draw_step(nbrs, rng);
-      ++lane.walk_hops;
-      lane.read_phase = true;
-    }
-    ++li;
-  }
+        if (tracing)
+          trace_complete("walk", "sc.trial", lane.trace_t0, "samples",
+                         trial.tracker.samples());
+        out[lane.walk] = trial.raw();
+        return true;
+      });
 }
 
 }  // namespace overcount

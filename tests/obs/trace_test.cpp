@@ -20,6 +20,8 @@
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "obs/json.hpp"
+#include "shard/engine.hpp"
+#include "shard/partition.hpp"
 #include "walk/kernel.hpp"
 
 namespace overcount {
@@ -174,6 +176,25 @@ TEST(TraceSites, ScKernelEmitsTrialSpansAndCollisionInstants) {
   EXPECT_EQ(count_events(events, "sc.trial"), kTrials);
   // Every trial runs until exactly ell collisions.
   EXPECT_EQ(count_events(events, "sc.collision"), kTrials * kEll);
+
+  // The sharded engine's trials report the same collision instants, with
+  // and without segment stitching.
+  const ShardedGraph sharded(g, make_shard_plan(g, 4));
+  ParallelRunner runner(2);
+  for (const bool stitched : {false, true}) {
+    SCOPED_TRACE(stitched ? "engine S=4, stitched" : "engine S=4");
+    SegmentStore store(sharded, StitchConfig{});
+    ShardedWalkEngine engine(sharded, runner);
+    if (stitched) engine.enable_stitching(store);
+    TraceRecorder engine_rec(std::size_t{1} << 17);
+    {
+      Installed guard(engine_rec);
+      engine.run_sc_trials(0, kTrials, 5.0, kEll, 11);
+    }
+    ASSERT_EQ(engine_rec.dropped_events(), 0u);
+    EXPECT_EQ(count_events(engine_rec.events(), "sc.collision"),
+              kTrials * kEll);
+  }
 }
 
 TEST(TraceSites, ParallelRunnerEmitsDispatchAndTaskSpans) {

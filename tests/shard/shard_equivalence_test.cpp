@@ -481,44 +481,170 @@ TEST(ShardEquivalence, DegreeBalancedPartitionGivesSameResults) {
 
 // Stitched runs consume the segment store's streams instead of the walks',
 // so they are NOT bit-identical to scalar — but for a fixed (plan, stitch
-// seed) they must still be deterministic at any thread count.
+// seed) they must still be deterministic at any thread count. Each walk kind
+// is also pinned to recorded outputs of the default StitchConfig on the
+// 4-shard plan: every value and step/hop count, every ShardRunStats field,
+// and the probe stream (folded visits and sojourn time). The pins move if
+// the order in which stitched walks replay segments, or where they take
+// them, ever changes.
+struct StitchedRun {
+  std::vector<double> values;         ///< tour value / S&C ml, per walk
+  std::vector<std::uint64_t> counts;  ///< steps, (node, hops) or
+                                      ///< (samples, hops), per walk
+  ShardRunStats stats;
+};
+
+struct StitchedPin {
+  std::vector<double> values;
+  std::vector<std::uint64_t> counts;
+  ShardRunStats stats;
+  std::uint64_t visits = 0;
+  double sojourn_time = 0.0;
+};
+
+void expect_same_run_stats(const ShardRunStats& a, const ShardRunStats& b) {
+  EXPECT_EQ(a.walks, b.walks);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.handoffs, b.handoffs);
+  EXPECT_EQ(a.reports, b.reports);
+  EXPECT_EQ(a.stitches, b.stitches);
+  EXPECT_EQ(a.stitch_steps, b.stitch_steps);
+  EXPECT_EQ(a.tokens_issued, b.tokens_issued);
+  EXPECT_EQ(a.tokens_consumed, b.tokens_consumed);
+  EXPECT_EQ(a.total_steps, b.total_steps);
+  EXPECT_EQ(a.max_mailbox_depth, b.max_mailbox_depth);
+}
+
+/// Runs `batch(engine, run)` on a fresh stitched engine. The store is fresh
+/// too: a run consumes its pools.
+template <typename Batch>
+StitchedRun run_stitched(const ShardedGraph& sharded, unsigned threads,
+                         Batch batch) {
+  ParallelRunner runner(threads);
+  SegmentStore store(sharded, StitchConfig{});
+  ShardedWalkEngine engine(sharded, runner);
+  engine.enable_stitching(store);
+  StitchedRun run;
+  batch(engine, run);
+  run.stats = engine.last_run_stats();
+  return run;
+}
+
+/// `batch(engine, run, probes)` runs one batch of `walks` walks and appends
+/// its outputs to `run`.
+template <typename Batch>
+void expect_stitched_pinned(const ShardedGraph& sharded, std::size_t walks,
+                            Batch batch, const StitchedPin& pin) {
+  std::vector<StitchedRun> runs;
+  for (const unsigned threads : {1u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    runs.push_back(run_stitched(
+        sharded, threads, [&](ShardedWalkEngine& engine, StitchedRun& run) {
+          batch(engine, run, std::span<NullProbe>());
+        }));
+    const StitchedRun& run = runs.back();
+    EXPECT_GT(run.stats.stitches, 0u);
+    EXPECT_EQ(run.values, pin.values);  // bitwise
+    EXPECT_EQ(run.counts, pin.counts);
+    // The message schedule itself is deterministic too: strict BSP
+    // delivery means the superstep count, handoffs, stitches and token
+    // totals cannot depend on how the pool timed the shard tasks.
+    expect_same_run_stats(run.stats, runs.front().stats);
+    expect_same_run_stats(run.stats, pin.stats);
+  }
+  WalkStats walk_stats;
+  const StitchedRun probed = run_stitched(
+      sharded, 1, [&](ShardedWalkEngine& engine, StitchedRun& run) {
+        run_probed(walks, walk_stats, [&](auto probes) {
+          batch(engine, run, probes);
+          return 0;
+        });
+      });
+  EXPECT_EQ(probed.values, pin.values);
+  EXPECT_EQ(probed.counts, pin.counts);
+  EXPECT_EQ(walk_stats.visits, pin.visits);
+  EXPECT_EQ(walk_stats.sojourn_time, pin.sojourn_time);  // bitwise
+}
+
 TEST(ShardEquivalence, StitchedRunsDeterministicAcrossThreadCounts) {
   const Graph g = test_graph();
-  const std::size_t m = 32;
   const ShardPlan plan = make_shard_plan(g, 4);
   const ShardedGraph sharded(g, plan);
 
-  std::vector<TourEstimate> first;
-  ShardRunStats first_stats;
-  for (const unsigned threads : {1u, 8u}) {
-    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    ParallelRunner runner(threads);
-    SegmentStore store(sharded, StitchConfig{});
-    ShardedWalkEngine engine(sharded, runner);
-    engine.enable_stitching(store);
-    const TourBatch batch = engine.run_tours(
-        0, m, [](NodeId) { return 1.0; }, kSeed);
-    const ShardRunStats& stats = engine.last_run_stats();
-    EXPECT_GT(stats.stitches, 0u);
-    if (first.empty()) {
-      first = batch.tours;
-      first_stats = stats;
-    } else {
-      ASSERT_EQ(batch.tours.size(), first.size());
-      for (std::size_t i = 0; i < m; ++i) {
-        EXPECT_EQ(batch.tours[i].value, first[i].value);  // bitwise
-        EXPECT_EQ(batch.tours[i].steps, first[i].steps);
-      }
-      // The message schedule itself is deterministic too: strict BSP
-      // delivery means the superstep count, handoffs, stitches and token
-      // totals cannot depend on how the pool timed the shard tasks.
-      EXPECT_EQ(stats.rounds, first_stats.rounds);
-      EXPECT_EQ(stats.handoffs, first_stats.handoffs);
-      EXPECT_EQ(stats.stitches, first_stats.stitches);
-      EXPECT_EQ(stats.stitch_steps, first_stats.stitch_steps);
-      EXPECT_EQ(stats.tokens_issued, first_stats.tokens_issued);
-      EXPECT_EQ(stats.tokens_consumed, first_stats.tokens_consumed);
-    }
+  {
+    SCOPED_TRACE("run_tours");
+    const std::size_t m = 32;
+    expect_stitched_pinned(
+        sharded, m,
+        [&](ShardedWalkEngine& engine, StitchedRun& run, auto probes) {
+          for (const TourEstimate& t :
+               engine.run_tours(0, m, unit, kSeed, ~0ULL, probes).tours) {
+            run.values.push_back(t.value);
+            run.counts.push_back(t.steps);
+          }
+        },
+        {{0x1.459457c57c53ep+10, 0x1.f3757c57c5788p+9, 0x1.a5aa0ea0ea11p+8,
+          0x1.c9d41d41d41cap+6,  0x1.496d7c57c578bp+10, 0x1.51aea0ea0ea22p+8,
+          0x1.7bcaf8af8afaap+8,  0x1.c31c57c57c5afp+8, 0x1.aaccccccccccfp+4,
+          0x1.77741d41d41ecp+8,  0x1.2918af8af8b08p+8, 0x1.125b6db6db6ep+8,
+          0x1.0296db6db6dbcp+8,  0x1.d999999999999p+1, 0x1.97aa0ea0ea0ebp+7,
+          0x1.2bba83a83a85cp+9,  0x1.e666666666666p+0, 0x1.d6d99999999ccp+8,
+          0x1.4d0c57c57c58dp+9,  0x1.37d24924924acp+9, 0x1.649d41d41d41ap+7,
+          0x1.49457c57c57bfp+7,  0x1.c6857c57c57f3p+8, 0x1.160ea0ea0ea0ap+6,
+          0x1.0dd7c57c57c51p+7,  0x1.3be666666665fp+6, 0x1.8de507507506ep+9,
+          0x1.b2b6db6db6de4p+8,  0x1.fcc7507507514p+7, 0x1.cd1e2be2be2ecp+8,
+          0x1.258ccccccccf3p+9,  0x1.8b1c57c57c5ap+8},
+         {1216, 927, 390, 104, 1188, 301, 346, 428, 27,  348, 273,
+          244,  228, 4,   179, 554,  2,   454, 611, 590, 159, 155,
+          424,  67,  123, 74,  749,  401, 227, 424, 557, 366},
+         {32, 60, 545, 0, 772, 12108, 577, 577, 12140, 13},
+         12140,
+         0.0});
+  }
+  {
+    SCOPED_TRACE("run_samples");
+    const std::size_t m = 32;
+    expect_stitched_pinned(
+        sharded, m,
+        [&](ShardedWalkEngine& engine, StitchedRun& run, auto probes) {
+          for (const SampleResult& r :
+               engine.run_samples(0, m, 3.0, kSeed, probes).samples) {
+            run.counts.push_back(r.node);
+            run.counts.push_back(r.hops);
+          }
+        },
+        {{},
+         {360, 31, 377, 28, 395, 22, 379, 20, 84,  20, 172, 31, 127, 39,
+          315, 35, 378, 30, 84,  23, 296, 24, 42,  21, 271, 29, 209, 33,
+          224, 24, 387, 26, 115, 23, 54,  33, 128, 34, 396, 30, 270, 22,
+          255, 32, 94,  28, 157, 34, 290, 18, 212, 14, 231, 19, 152, 27,
+          312, 24, 334, 31, 27,  24, 213, 27},
+         {32, 3, 24, 0, 70, 856, 56, 56, 856, 32},
+         888,
+         0x1.8p+6});
+  }
+  {
+    SCOPED_TRACE("run_sc_trials");
+    const std::size_t trials = 8;
+    expect_stitched_pinned(
+        sharded, trials,
+        [&](ShardedWalkEngine& engine, StitchedRun& run, auto probes) {
+          for (const ScEstimate& e :
+               engine.run_sc_trials(0, trials, 2.5, 4, kSeed, probes)
+                   .trials) {
+            run.values.push_back(e.ml);
+            run.counts.push_back(e.samples);
+            run.counts.push_back(e.hops);
+          }
+        },
+        {{0x1.0117e4ab58p+9, 0x1.89da26f768p+8, 0x1.a66f91a93p+8,
+          0x1.21846925e8p+8, 0x1.0117e4ab58p+9, 0x1.7e8777d74p+7,
+          0x1.092d3e1f5p+9, 0x1.09eef39908p+8},
+         {66, 1360, 58, 1251, 60, 1258, 50, 1025, 66, 1474, 41, 874, 67, 1393,
+          48, 1020},
+         {8, 91, 300, 294, 870, 9655, 602, 602, 9655, 8},
+         10111,
+         0x1.1dp+10});
   }
 }
 
