@@ -607,8 +607,7 @@ int main() {
             << " rps)\n";
 
   // Reconciliation: every walk step the shards spent must be attributed
-  // (same contract bench_serve pins; compiled away when cost is off).
-#if OVERCOUNT_COST_ENABLED
+  // (same contract estimate_server pins).
   if (static_cast<double>(cost_totals.steps()) != steps) {
     std::cerr << "error: cost ledger holds " << cost_totals.steps()
               << " steps but the shards spent " << steps << "\n";
@@ -619,6 +618,5 @@ int main() {
               << " walk steps escaped attribution\n";
     return 1;
   }
-#endif  // OVERCOUNT_COST_ENABLED
   return gates_ok ? 0 : 1;
 }

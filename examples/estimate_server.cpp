@@ -21,7 +21,10 @@
 // Exit code: non-zero when responses with deadlines miss more often than
 // OVERCOUNT_SERVE_DEADLINE_BUDGET allows (default: unlimited; the CI
 // serve-smoke job sets 0 in fast mode — generous deadlines, so a miss
-// means the broker stalled, not that the machine was slow).
+// means the broker stalled, not that the machine was slow), when any
+// response failed, or when the cost ledger does not reconcile with the
+// broker (its step total must equal serve.steps, with zero unattributed
+// residue).
 //
 // The server also carries the full health stack from src/obs/health/: an
 // EstimateAuditor cross-checks every landed batch against its promised
@@ -350,6 +353,17 @@ int main() {
   if (miss_budget != ~0ULL && tally.deadline_missed.load() > miss_budget) {
     std::cerr << "error: " << tally.deadline_missed.load()
               << " deadline misses exceed budget " << miss_budget << "\n";
+    return 1;
+  }
+  if (tally.failed.load() != 0) {
+    std::cerr << "error: " << tally.failed.load() << " responses failed\n";
+    return 1;
+  }
+  const std::uint64_t served_steps = snap.counter_or_zero("serve.steps");
+  if (cost_ledger.totals().steps() != served_steps) {
+    // Reconciliation: every walk step the broker spent is in the ledger.
+    std::cerr << "error: cost ledger holds " << cost_ledger.totals().steps()
+              << " steps but the broker spent " << served_steps << "\n";
     return 1;
   }
   if (cost_ledger.unattributed().steps() != 0) {

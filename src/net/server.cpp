@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <chrono>
 #include <stdexcept>
 
@@ -15,17 +16,50 @@ constexpr int kAcceptPollMs = 100;
 constexpr int kRecvPollMs = 100;
 constexpr int kTransientBackoffMs = 10;
 
-SloOutcome outcome_of(ServeStatus status) {
-  switch (status) {
-    case ServeStatus::kOk: return SloOutcome::kOk;
-    case ServeStatus::kRejected: return SloOutcome::kRejected;
-    case ServeStatus::kDeadlineMiss: return SloOutcome::kDeadlineMiss;
-    case ServeStatus::kFailed: return SloOutcome::kFailed;
-  }
-  return SloOutcome::kFailed;
-}
-
 }  // namespace
+
+/// Resolved handles for the net.* family, looked up once at construction so
+/// the request path never takes the registry's name-lookup mutex. Per-class
+/// latency and outcomes live in the server's SloLedger (serve.slo.<class>.*).
+struct EstimateNetServer::Metrics {
+  Counter& connections;
+  Counter& accept_transient;
+  Counter& bytes_rx;
+  Counter& bytes_tx;
+  Counter& frames_rx;
+  Counter& frames_tx;
+  Counter& protocol_errors;
+  Counter& hellos;
+  Counter& requests;
+  Counter& responses;
+  Gauge& conn_active;
+  Gauge& tenants;
+  /// net.rejects.<reason>, indexed by the RejectReason wire value (1..6).
+  std::array<Counter*, 7> rejects{};
+
+  explicit Metrics(MetricsRegistry& r)
+      : connections(r.counter("net.connections")),
+        accept_transient(r.counter("net.accept_transient")),
+        bytes_rx(r.counter("net.bytes_rx")),
+        bytes_tx(r.counter("net.bytes_tx")),
+        frames_rx(r.counter("net.frames_rx")),
+        frames_tx(r.counter("net.frames_tx")),
+        protocol_errors(r.counter("net.protocol_errors")),
+        hellos(r.counter("net.hellos")),
+        requests(r.counter("net.requests")),
+        responses(r.counter("net.responses")),
+        conn_active(r.gauge("net.conn_active")),
+        tenants(r.gauge("net.tenants")) {
+    for (std::size_t i = 1; i < rejects.size(); ++i) {
+      rejects[i] = &r.counter(std::string("net.rejects.") +
+                              to_string(static_cast<RejectReason>(i)));
+    }
+  }
+
+  Counter& reject(RejectReason reason) {
+    return *rejects[static_cast<std::size_t>(reason)];
+  }
+};
 
 EstimateNetServer::EstimateNetServer(GraphSource source,
                                      NetServerConfig config)
@@ -35,6 +69,7 @@ EstimateNetServer::EstimateNetServer(GraphSource source,
                          : std::make_unique<MetricsRegistry>()),
       metrics_(config_.metrics != nullptr ? config_.metrics
                                           : owned_metrics_.get()),
+      m_(std::make_unique<Metrics>(*metrics_)),
       tenants_(config_.classes.empty() ? default_slo_classes()
                                        : config_.classes,
                config_.drr),
@@ -91,19 +126,16 @@ void EstimateNetServer::stop() {
 }
 
 void EstimateNetServer::accept_loop() {
-  Counter& connections = metrics_->counter("net.connections");
-  Counter& transient = metrics_->counter("net.accept_transient");
-  Gauge& active = metrics_->gauge("net.conn_active");
   while (!stopping_.load(std::memory_order_relaxed)) {
     const AcceptResult res = accept_next(listen_fd_, kAcceptPollMs);
     switch (res.status) {
       case AcceptStatus::kAccepted: {
-        connections.inc();
-        active.add(1.0);
+        m_->connections.inc();
+        m_->conn_active.add(1.0);
         TraceSpan span("net", "net.connection");
         handle_connection(res.fd);
         ::close(res.fd);
-        active.add(-1.0);
+        m_->conn_active.add(-1.0);
         break;
       }
       case AcceptStatus::kTimeout:
@@ -111,7 +143,7 @@ void EstimateNetServer::accept_loop() {
       case AcceptStatus::kTransient:
         // fd exhaustion: the pending connection stays queued in the
         // kernel; back off instead of spinning on EMFILE.
-        transient.inc();
+        m_->accept_transient.inc();
         std::this_thread::sleep_for(
             std::chrono::milliseconds(kTransientBackoffMs));
         break;
@@ -124,9 +156,6 @@ void EstimateNetServer::accept_loop() {
 void EstimateNetServer::handle_connection(int fd) {
   FrameReader reader;
   std::deque<PendingReply> inflight;
-  Counter& bytes_rx = metrics_->counter("net.bytes_rx");
-  Counter& frames_rx = metrics_->counter("net.frames_rx");
-  Counter& protocol_errors = metrics_->counter("net.protocol_errors");
   char buf[16 * 1024];
   bool alive = true;
   while (alive && !stopping_.load(std::memory_order_relaxed)) {
@@ -156,7 +185,7 @@ void EstimateNetServer::handle_connection(int fd) {
     const ssize_t n = recv_some(fd, buf, sizeof(buf), poll_ms);
     if (n == kRecvTimeout) continue;
     if (n <= 0) break;  // EOF or hard error.
-    bytes_rx.add(static_cast<std::uint64_t>(n));
+    m_->bytes_rx.add(static_cast<std::uint64_t>(n));
     reader.append(buf, static_cast<std::size_t>(n));
     Frame frame;
     std::string error;
@@ -164,13 +193,13 @@ void EstimateNetServer::handle_connection(int fd) {
       const DecodeStatus st = reader.next(frame, &error);
       if (st == DecodeStatus::kNeedMore) break;
       if (st == DecodeStatus::kError) {
-        protocol_errors.inc();
+        m_->protocol_errors.inc();
         trace_instant("net", "net.protocol_error");
         send_frame(fd, encode_error({kErrBadFrame, error}));
         alive = false;
         break;
       }
-      frames_rx.inc();
+      m_->frames_rx.inc();
       if (!handle_frame(fd, frame, inflight)) {
         alive = false;
         break;
@@ -191,7 +220,7 @@ bool EstimateNetServer::handle_frame(int fd, const Frame& frame,
     case FrameType::kHello: {
       auto msg = decode_hello(frame);
       if (!msg) {
-        metrics_->counter("net.protocol_errors").inc();
+        m_->protocol_errors.inc();
         send_frame(fd, encode_error({kErrBadHello, "malformed hello"}));
         return false;
       }
@@ -201,9 +230,8 @@ bool EstimateNetServer::handle_frame(int fd, const Frame& frame,
         send_frame(fd, encode_error({kErrBadHello, "unknown class"}));
         return false;
       }
-      metrics_->counter("net.hellos").inc();
-      metrics_->gauge("net.tenants")
-          .set(static_cast<double>(tenants_.tenant_count()));
+      m_->hellos.inc();
+      m_->tenants.set(static_cast<double>(tenants_.tenant_count()));
       const SloClassSpec& spec = tenants_.classes()[msg->class_id];
       WelcomeMsg welcome;
       welcome.tenant_id = id;
@@ -219,12 +247,16 @@ bool EstimateNetServer::handle_frame(int fd, const Frame& frame,
       return handle_request(fd, frame, inflight);
     case FrameType::kPing: {
       auto msg = decode_ping(frame);
-      if (!msg) return false;
+      if (!msg) {
+        m_->protocol_errors.inc();
+        send_frame(fd, encode_error({kErrBadFrame, "malformed ping"}));
+        return false;
+      }
       return send_frame(fd, encode_ping(*msg, /*pong=*/true));
     }
     default:
       // kWelcome/kResponse/kReject/kError/kPong are server->client only.
-      metrics_->counter("net.protocol_errors").inc();
+      m_->protocol_errors.inc();
       send_frame(fd,
                  encode_error({kErrUnexpectedType, "unexpected frame type"}));
       return false;
@@ -235,11 +267,11 @@ bool EstimateNetServer::handle_request(int fd, const Frame& frame,
                                        std::deque<PendingReply>& inflight) {
   auto msg = decode_request(frame);
   if (!msg) {
-    metrics_->counter("net.protocol_errors").inc();
+    m_->protocol_errors.inc();
     send_frame(fd, encode_error({kErrBadFrame, "malformed request"}));
     return false;
   }
-  metrics_->counter("net.requests").inc();
+  m_->requests.inc();
   const SloClassSpec* spec = tenants_.spec_for(msg->tenant_id);
   if (spec == nullptr) {
     return send_reject(fd, msg->request_id, RejectReason::kUnknownTenant, 0,
@@ -307,7 +339,8 @@ bool EstimateNetServer::handle_request(int fd, const Frame& frame,
 
   PendingReply pending;
   pending.request_id = msg->request_id;
-  pending.cls = spec->name;
+  // spec_for points into the class table, so the offset is the class id.
+  pending.cls = static_cast<std::size_t>(spec - tenants_.classes().data());
   pending.t0_us = now_us();
   pending.future = shard.submit(req);
   inflight.push_back(std::move(pending));
@@ -318,21 +351,19 @@ bool EstimateNetServer::write_reply(int fd, PendingReply& pending) {
   const EstimateResponse resp = pending.future.get();
   const std::uint64_t latency =
       now_us() > pending.t0_us ? now_us() - pending.t0_us : 0;
-  slo_.record(pending.cls, outcome_of(resp.status), latency);
-  metrics_->histogram("net.class." + pending.cls + ".latency_us")
-      .record(latency);
+  slo_.record(tenants_.classes()[pending.cls].name, slo_outcome(resp.status),
+              latency);
   if (resp.status == ServeStatus::kRejected) {
     // The broker load-shed after admission (queue full / step budget):
     // forward its retry hint onto the wire as a first-class reject frame.
-    metrics_->counter("net.rejects.queue_full").inc();
+    m_->reject(RejectReason::kQueueFull).inc();
     RejectMsg reject;
     reject.request_id = pending.request_id;
     reject.reason = static_cast<std::uint8_t>(RejectReason::kQueueFull);
     reject.retry_after_us = resp.retry_after_us;
     return send_frame(fd, encode_reject(reject));
   }
-  metrics_->counter("net.responses").inc();
-  metrics_->counter("net.class." + pending.cls + ".responses").inc();
+  m_->responses.inc();
   ResponseMsg out;
   out.request_id = pending.request_id;
   out.status = static_cast<std::uint8_t>(resp.status);
@@ -352,8 +383,8 @@ bool EstimateNetServer::write_reply(int fd, PendingReply& pending) {
 bool EstimateNetServer::send_reject(int fd, std::uint64_t request_id,
                                     RejectReason reason,
                                     std::uint64_t retry_after_us,
-                                    const std::string& cls) {
-  metrics_->counter(std::string("net.rejects.") + to_string(reason)).inc();
+                                    std::string_view cls) {
+  m_->reject(reason).inc();
   slo_.record(cls, SloOutcome::kRejected, 0);
   trace_instant("net", "net.reject", "retry_after_us", retry_after_us);
   RejectMsg reject;
@@ -365,8 +396,8 @@ bool EstimateNetServer::send_reject(int fd, std::uint64_t request_id,
 
 bool EstimateNetServer::send_frame(int fd, const std::string& frame) {
   if (!send_all(fd, frame.data(), frame.size())) return false;
-  metrics_->counter("net.frames_tx").inc();
-  metrics_->counter("net.bytes_tx").add(frame.size());
+  m_->frames_tx.inc();
+  m_->bytes_tx.add(frame.size());
   return true;
 }
 

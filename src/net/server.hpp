@@ -29,10 +29,10 @@
 //    arithmetic (tests/net/net_identity_test.cpp pins this).
 //
 // Observability: the net.* metric family (connections, frames, bytes,
-// rejects by reason, per-class latency histograms), TraceSpans under the
-// "net" category, a server-side SloLedger keyed by SLO-class name, and
-// per-tenant cost attribution via EstimateRequest.tenant riding the
-// existing CostLedger plumbing.
+// rejects by reason), TraceSpans under the "net" category, a server-side
+// SloLedger keyed by SLO-class name (serve.slo.<class>.* outcome counters
+// and latency histograms), and per-tenant cost attribution via
+// EstimateRequest.tenant riding the existing CostLedger plumbing.
 #pragma once
 
 #include <atomic>
@@ -40,6 +40,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -103,10 +104,11 @@ class EstimateNetServer {
   void stop();
 
  private:
+  struct Metrics;  // resolved metric handles (net.* family)
   struct PendingReply {
     std::uint64_t request_id = 0;
     std::future<EstimateResponse> future;
-    std::string cls;  ///< SLO class name (ledger + metrics key).
+    std::size_t cls = 0;  ///< SLO class index into tenants_.classes().
     std::uint64_t t0_us = 0;
   };
 
@@ -120,12 +122,13 @@ class EstimateNetServer {
   /// Blocking: waits for the oldest in-flight future and writes its frame.
   bool write_reply(int fd, PendingReply& pending);
   bool send_reject(int fd, std::uint64_t request_id, RejectReason reason,
-                   std::uint64_t retry_after_us, const std::string& cls);
+                   std::uint64_t retry_after_us, std::string_view cls);
   bool send_frame(int fd, const std::string& frame);
 
   NetServerConfig config_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_ = nullptr;
+  std::unique_ptr<Metrics> m_;
   TenantRegistry tenants_;
   SloLedger slo_;
   std::vector<std::unique_ptr<EstimateService>> shards_;

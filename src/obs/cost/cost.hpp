@@ -19,15 +19,10 @@
 // Bit-identity contract (the same one trace.hpp and health.hpp keep): a
 // ledger NEVER touches any Rng and charge sites never branch on ledger
 // state in a way that alters walk behaviour, so cost-instrumented runs
-// produce bit-identical estimates. With OVERCOUNT_COST=OFF every hook
-// below (cost_active / CostScope / cost_charge*) compiles to nothing; the
-// CostLedger class itself stays available so servers and tests link
-// unchanged.
+// produce bit-identical estimates. With no ledger installed every hook
+// below (cost_active / cost_charge*) is one atomic load and a
+// branch.
 #pragma once
-
-#ifndef OVERCOUNT_COST_ENABLED
-#define OVERCOUNT_COST_ENABLED 1
-#endif
 
 #include <array>
 #include <atomic>
@@ -189,10 +184,8 @@ class CostLedger {
 void write_costs_json(JsonWriter& w, const CostLedger& ledger, std::size_t k);
 
 // ---------------------------------------------------------------------------
-// Hook layer. Everything below compiles away under OVERCOUNT_COST=OFF.
+// Hook layer: charge sites reach the installed ledger, if any.
 // ---------------------------------------------------------------------------
-
-#if OVERCOUNT_COST_ENABLED
 
 namespace detail {
 inline std::uint32_t& cost_current_ref() noexcept {
@@ -250,21 +243,5 @@ class CostScope {
  private:
   std::uint32_t prev_;
 };
-
-#else  // !OVERCOUNT_COST_ENABLED
-
-inline constexpr bool cost_active() noexcept { return false; }
-inline constexpr std::uint32_t cost_current() noexcept { return 0; }
-inline void cost_charge_ctx(std::uint32_t, CostField, std::uint64_t) noexcept {
-}
-inline void cost_charge(CostField, std::uint64_t) noexcept {}
-inline void cost_charge_batch(std::uint64_t, std::uint64_t, double) noexcept {}
-
-class CostScope {
- public:
-  explicit CostScope(std::uint32_t) noexcept {}
-};
-
-#endif  // OVERCOUNT_COST_ENABLED
 
 }  // namespace overcount

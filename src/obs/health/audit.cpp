@@ -225,6 +225,7 @@ SloLedger::ClassState& SloLedger::state_for(std::string_view cls) {
     st.failed_m = &metrics_->counter(base + ".failed");
     st.hit_rate_m = &metrics_->gauge(base + ".hit_rate");
     st.burn_m = &metrics_->gauge(base + ".budget_burn");
+    st.latency_m = &metrics_->histogram(base + ".latency_us");
   }
   return classes_.emplace(std::string(cls), std::move(st)).first->second;
 }
@@ -257,12 +258,11 @@ void SloLedger::record(std::string_view cls, SloOutcome outcome,
         break;
     }
   }
-  if (metrics_ != nullptr)
-    metrics_->histogram("serve.slo." + std::string(cls) + ".latency_us")
-        .record(latency_us);
   // Rejections are load-shedding: visible above, but they neither hit nor
-  // miss a deadline, so they stay out of the budget window.
+  // miss a deadline, so they stay out of the latency histogram and the
+  // budget window.
   if (outcome == SloOutcome::kRejected) return;
+  if (st.latency_m != nullptr) st.latency_m->record(latency_us);
 
   const bool violation = outcome != SloOutcome::kOk;
   if (st.violations.size() < policy_.window) {

@@ -55,6 +55,7 @@
 
 namespace overcount {
 
+class AtomicHistogram;
 class Counter;
 class Gauge;
 class MetricsRegistry;
@@ -149,7 +150,9 @@ class SloLedger {
   SloLedger& operator=(const SloLedger&) = delete;
 
   /// Records one resolved request of `cls` (e.g. "size.random_tour.deadline"
-  /// — callers pick the class taxonomy). Thread-safe.
+  /// — callers pick the class taxonomy). `latency_us` lands in
+  /// serve.slo.<cls>.latency_us unless the request was rejected.
+  /// Thread-safe.
   void record(std::string_view cls, SloOutcome outcome,
               std::uint64_t latency_us);
 
@@ -174,6 +177,7 @@ class SloLedger {
     Counter* failed_m = nullptr;
     Gauge* hit_rate_m = nullptr;
     Gauge* burn_m = nullptr;
+    AtomicHistogram* latency_m = nullptr;
     std::vector<bool> violations;  ///< ring over counted requests
     std::size_t next = 0;
     std::size_t filled = 0;

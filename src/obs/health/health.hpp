@@ -16,12 +16,6 @@
 // a watchdog tripping), never per walk step. Nothing here touches any Rng,
 // so monitored runs stay bit-identical to unmonitored ones — the same
 // contract every other obs/ layer keeps.
-//
-// OVERCOUNT_HEALTH=OFF (CMake) compiles the hook helpers away, exactly like
-// OVERCOUNT_TRACE=OFF does for spans: health_active() becomes constant
-// false, health_raise() becomes empty, and Heartbeat ticks fold out
-// (watchdog.hpp). The HealthCenter class itself stays available either way,
-// like TraceRecorder does.
 #pragma once
 
 #include <atomic>
@@ -34,12 +28,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-// Compile-time master switch. The build defines OVERCOUNT_HEALTH_ENABLED=0
-// when configured with -DOVERCOUNT_HEALTH=OFF; default is on.
-#ifndef OVERCOUNT_HEALTH_ENABLED
-#define OVERCOUNT_HEALTH_ENABLED 1
-#endif
 
 namespace overcount {
 
@@ -158,8 +146,6 @@ class HealthCenter {
   Counter* critical_m_ = nullptr;
 };
 
-#if OVERCOUNT_HEALTH_ENABLED
-
 /// True when a HealthCenter is installed.
 inline bool health_active() noexcept { return HealthCenter::active() != nullptr; }
 
@@ -170,15 +156,6 @@ inline void health_raise(HealthSeverity severity, std::string_view code,
   if (HealthCenter* center = HealthCenter::active(); center != nullptr)
     center->raise(severity, code, subsystem, message, value, threshold);
 }
-
-#else  // OVERCOUNT_HEALTH_ENABLED == 0: hook sites compile to nothing.
-
-inline constexpr bool health_active() noexcept { return false; }
-inline void health_raise(HealthSeverity, std::string_view, std::string_view,
-                         std::string_view, double = 0.0,
-                         double = 0.0) noexcept {}
-
-#endif  // OVERCOUNT_HEALTH_ENABLED
 
 /// One event per line as a self-contained JSON object — the JSONL stream the
 /// flight recorder writes as health_events.jsonl. Keys: seq, ts_us,

@@ -5,7 +5,7 @@
 // Two primitives:
 //  * Heartbeat — a wait-free progress beacon the monitored code ticks
 //    (`beat()` once per superstep / batch / broker dispatch). Costs two
-//    relaxed stores per tick; OVERCOUNT_HEALTH=OFF compiles the ticks away.
+//    relaxed stores per tick.
 //  * Watchdog — a cold-side poller that evaluates registered checks either
 //    from its own background thread (start()) or on demand (poll_once(),
 //    which tests drive with an injected clock). A check that fails raises a
@@ -42,7 +42,6 @@ std::uint64_t health_now_us() noexcept;
 /// while armed, so an idle engine never alarms.
 class Heartbeat {
  public:
-#if OVERCOUNT_HEALTH_ENABLED
   void arm() noexcept {
     last_beat_us_.store(health_now_us(), std::memory_order_relaxed);
     armed_.store(true, std::memory_order_release);
@@ -54,12 +53,6 @@ class Heartbeat {
     beats_.fetch_add(1, std::memory_order_relaxed);
     last_beat_us_.store(now_us, std::memory_order_relaxed);
   }
-#else
-  void arm() noexcept {}
-  void disarm() noexcept {}
-  void beat() noexcept {}
-  void beat_at(std::uint64_t) noexcept {}
-#endif
 
   bool armed() const noexcept { return armed_.load(std::memory_order_acquire); }
   std::uint64_t beats() const noexcept {

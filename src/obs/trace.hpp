@@ -9,16 +9,13 @@
 // and the DES Simulator event loop, so a recorded run opens in Perfetto as
 // one lane per worker thread with every walk laid out on it.
 //
-// Cost model (the reason this can stay compiled-in by default):
+// Cost model (the reason every site stays compiled in):
 //  * No recorder installed (the normal case): every instrumentation site is
 //    one relaxed atomic load of the global recorder pointer plus a branch.
 //  * Recorder installed: a site costs two steady_clock reads and one store
 //    into the calling thread's OWN ring buffer — no locks, no allocation,
 //    no contention. Rings overwrite their oldest events when full, so
 //    recording never blocks and memory stays bounded.
-//  * OVERCOUNT_TRACE=OFF (CMake) compiles every site away entirely: the
-//    TraceSpan constructor is empty, trace_active() is constant false, and
-//    the guarded lane bookkeeping folds out — the same pattern as NullProbe.
 //
 // Tracing observes wall time only. No instrumentation site touches any Rng,
 // so traced and untraced runs produce BIT-IDENTICAL estimates (pinned by
@@ -45,12 +42,6 @@
 #include <vector>
 
 #include "util/contracts.hpp"
-
-// Compile-time master switch. The build defines OVERCOUNT_TRACE_ENABLED=0
-// when configured with -DOVERCOUNT_TRACE=OFF; default is on.
-#ifndef OVERCOUNT_TRACE_ENABLED
-#define OVERCOUNT_TRACE_ENABLED 1
-#endif
 
 namespace overcount {
 
@@ -233,8 +224,6 @@ class TraceRecorder {
   std::vector<std::unique_ptr<Ring>> rings_;  // guarded by mutex_
 };
 
-#if OVERCOUNT_TRACE_ENABLED
-
 /// True when a recorder is installed: hoist this out of hot loops to guard
 /// per-item timestamping (the kernels check once per kernel call).
 inline bool trace_active() noexcept {
@@ -308,29 +297,6 @@ class TraceSpan {
   std::uint64_t arg_;
   std::uint64_t start_us_;
 };
-
-#else  // OVERCOUNT_TRACE_ENABLED == 0: every site compiles to nothing.
-
-inline constexpr bool trace_active() noexcept { return false; }
-inline constexpr std::uint64_t trace_now_us() noexcept { return 0; }
-inline void trace_complete(const char*, const char*, std::uint64_t,
-                           const char* = nullptr, std::uint64_t = 0) noexcept {
-}
-inline void trace_instant(const char*, const char*, const char* = nullptr,
-                          std::uint64_t = 0) noexcept {}
-inline void trace_flow(const char*, const char*, char, std::uint64_t,
-                       const char* = nullptr, std::uint64_t = 0) noexcept {}
-
-class TraceSpan {
- public:
-  TraceSpan(const char*, const char*, const char* = nullptr,
-            std::uint64_t = 0) noexcept {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-  void set_arg(std::uint64_t) noexcept {}
-};
-
-#endif  // OVERCOUNT_TRACE_ENABLED
 
 /// Serialises a recorder's events as Chrome/Perfetto `trace_event` JSON
 /// (the {"traceEvents": [...]} wrapper, 'X'/'i' and flow 's'/'t'/'f'

@@ -225,17 +225,20 @@ std::uint32_t EstimateService::cost_open_aggregate(const std::string& tenant,
   return ctx;
 }
 
+SloOutcome slo_outcome(ServeStatus status) noexcept {
+  switch (status) {
+    case ServeStatus::kOk: return SloOutcome::kOk;
+    case ServeStatus::kRejected: return SloOutcome::kRejected;
+    case ServeStatus::kDeadlineMiss: return SloOutcome::kDeadlineMiss;
+    case ServeStatus::kFailed: return SloOutcome::kFailed;
+  }
+  return SloOutcome::kFailed;
+}
+
 void EstimateService::resolve(std::promise<EstimateResponse>& promise,
                               const EstimateRequest& request,
                               EstimateResponse resp) {
-  SloOutcome outcome = SloOutcome::kOk;
-  switch (resp.status) {
-    case ServeStatus::kOk: outcome = SloOutcome::kOk; break;
-    case ServeStatus::kDeadlineMiss: outcome = SloOutcome::kDeadlineMiss; break;
-    case ServeStatus::kRejected: outcome = SloOutcome::kRejected; break;
-    case ServeStatus::kFailed: outcome = SloOutcome::kFailed; break;
-  }
-  slo_.record(slo_class(request), outcome, resp.latency_us);
+  slo_.record(slo_class(request), slo_outcome(resp.status), resp.latency_us);
   promise.set_value(std::move(resp));
 }
 

@@ -127,6 +127,9 @@ struct ServiceConfig {
   bool cost_aggregate_contexts = false;
 };
 
+/// The SLO-ledger outcome a response with `status` counts as.
+SloOutcome slo_outcome(ServeStatus status) noexcept;
+
 class EstimateService {
  public:
   EstimateService(GraphSource source, ServiceConfig config = {});
@@ -235,7 +238,7 @@ class EstimateService {
                const EstimateRequest& request, EstimateResponse resp);
   static std::string slo_class(const EstimateRequest& request);
   /// Opens a cost-ledger context for an admitted request (0 when no ledger
-  /// is installed or the hooks are compiled out).
+  /// is installed).
   std::uint32_t cost_open(const EstimateRequest& request);
   /// Aggregated-context lookup (cost_aggregate_contexts): returns the one
   /// reused context for (tenant, slo class), opening it on first sight.

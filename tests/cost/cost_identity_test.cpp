@@ -21,11 +21,6 @@
 namespace overcount {
 namespace {
 
-// Every test here exercises the charge sites inside the engine and the
-// CostScope hook, all of which compile away under OVERCOUNT_COST=OFF —
-// in that build there is nothing to reconcile.
-#if OVERCOUNT_COST_ENABLED
-
 constexpr std::uint64_t kSeed = 0xFEEDBEEF;
 
 Graph test_graph() {
@@ -241,8 +236,6 @@ TEST(CostIdentity, MonitoredRunsChargeLikePlainBatches) {
             plain_sc.get(CostField::kWalks));
   EXPECT_EQ(ledger.unattributed().steps(), 0u);
 }
-
-#endif  // OVERCOUNT_COST_ENABLED
 
 }  // namespace
 }  // namespace overcount

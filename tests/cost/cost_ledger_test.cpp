@@ -137,9 +137,6 @@ TEST(CostLedger, RegistryMirrorTracksLedgerTotals) {
   EXPECT_EQ(ledger.totals().steps(), 150u);
 }
 
-// Only the hook layer compiles away under OVERCOUNT_COST=OFF; everything
-// above tests the ledger class directly and runs in either build.
-#if OVERCOUNT_COST_ENABLED
 TEST(CostHooks, InstalledLedgerReceivesScopedCharges) {
   CostLedger ledger;
   const std::uint32_t ctx = ledger.open(make_context("acme", 1));
@@ -172,7 +169,6 @@ TEST(CostHooks, InstalledLedgerReceivesScopedCharges) {
   EXPECT_EQ(ledger.unattributed().steps(), 1u);
   EXPECT_EQ(ledger.unattributed().get(CostField::kWalks), 5u);
 }
-#endif  // OVERCOUNT_COST_ENABLED
 
 TEST(CostLedger, WriteCostsJsonEmitsRankingsWithMonotoneShares) {
   CostLedger ledger;

@@ -22,11 +22,6 @@
 namespace overcount {
 namespace {
 
-// The broker only opens ledger contexts when the hook layer is live
-// (cost_active() is constexpr false under OVERCOUNT_COST=OFF), so the
-// whole serve-attribution surface vanishes in that build.
-#if OVERCOUNT_COST_ENABLED
-
 struct TestClock {
   std::shared_ptr<std::atomic<std::uint64_t>> us =
       std::make_shared<std::atomic<std::uint64_t>>(0);
@@ -187,8 +182,6 @@ TEST(CostServe, CostsEndpointServesRankedLedgerJson) {
             std::string::npos);
   EXPECT_NE(raw.find("Cache-Control: no-store"), std::string::npos);
 }
-
-#endif  // OVERCOUNT_COST_ENABLED
 
 }  // namespace
 }  // namespace overcount

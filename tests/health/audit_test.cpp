@@ -217,6 +217,12 @@ TEST(SloLedger, RejectionsAreTrackedButBurnNoBudget) {
             20u);
   EXPECT_EQ(
       snap.counter_or_zero("serve.slo.size.random_tour.besteffort.ok"), 0u);
+  // Rejections carry no service latency: the class histogram stays empty.
+  std::uint64_t latency_samples = 0;
+  for (const auto& [name, h] : snap.histograms)
+    if (name == "serve.slo.size.random_tour.besteffort.latency_us")
+      latency_samples = h.count;
+  EXPECT_EQ(latency_samples, 0u);
 }
 
 }  // namespace

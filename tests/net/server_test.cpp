@@ -95,9 +95,20 @@ TEST(NetServer, HelloRequestResponse) {
   EXPECT_EQ(repeat->response.value, result->response.value);
 
   EXPECT_TRUE(client.ping(424242));
+  // The exact counters are bumped before the server writes the reply the
+  // client waited on; frames_tx/bytes_tx are bumped after each send.
   const MetricsSnapshot snap = server.metrics().snapshot();
-  EXPECT_GE(counter_value(snap, "net.requests"), 2u);
-  EXPECT_GE(counter_value(snap, "net.frames_rx"), 3u);
+  EXPECT_EQ(counter_value(snap, "net.hellos"), 1u);
+  EXPECT_EQ(counter_value(snap, "net.requests"), 2u);
+  EXPECT_EQ(counter_value(snap, "net.responses"), 2u);
+  // Received: hello, two requests and the ping.
+  EXPECT_EQ(counter_value(snap, "net.frames_rx"), 4u);
+  EXPECT_EQ(counter_value(snap, "net.bytes_rx"), 139u);
+  EXPECT_EQ(counter_value(snap, "serve.slo.gold.requests"), 2u);
+  EXPECT_EQ(counter_value(snap, "serve.slo.gold.ok"), 2u);
+  // Sent: welcome and two responses for sure; the 20-byte pong may trail.
+  EXPECT_GE(counter_value(snap, "net.frames_tx"), 3u);
+  EXPECT_GE(counter_value(snap, "net.bytes_tx"), 191u);
   EXPECT_GE(counter_value(snap, "net.connections"), 1u);
 }
 
@@ -129,6 +140,10 @@ TEST(NetServer, UnknownTenantAndBadRequestRejected) {
   auto nan_result = client.request(nan_eps);
   ASSERT_TRUE(nan_result.has_value());
   EXPECT_TRUE(nan_result->rejected);
+
+  const MetricsSnapshot snap = server.metrics().snapshot();
+  EXPECT_EQ(counter_value(snap, "net.rejects.unknown_tenant"), 1u);
+  EXPECT_EQ(counter_value(snap, "net.rejects.bad_request"), 2u);
 }
 
 TEST(NetServer, RateLimitRejectCarriesExactRetryHint) {
@@ -230,41 +245,48 @@ TEST(NetServer, MultiplexesTenantsOnOneConnection) {
   // Per-tenant cost attribution rode along: both principals appear in the
   // ledger-facing SLO metrics keyed by class.
   const MetricsSnapshot snap = server.metrics().snapshot();
-  EXPECT_GE(counter_value(snap, "net.class.gold.responses"), 1u);
-  EXPECT_GE(counter_value(snap, "net.class.bronze.responses"), 1u);
+  EXPECT_GE(counter_value(snap, "serve.slo.gold.ok"), 1u);
+  EXPECT_GE(counter_value(snap, "serve.slo.bronze.ok"), 1u);
 }
 
 TEST(NetServer, GarbageStreamGetsErrorFrameThenClose) {
-  const Graph g = complete(12);
-  EstimateNetServer server(static_graph_source(g), base_config());
-  const int fd = connect_loopback(server.port());
-  ASSERT_GE(fd, 0);
   const std::string garbage = "GET / HTTP/1.1\r\n\r\n";  // wrong protocol
-  ASSERT_TRUE(send_all(fd, garbage.data(), garbage.size()));
+  // Well framed, but the ping payload is 4 bytes instead of an 8-byte nonce.
+  std::string short_ping = encode_ping(PingMsg{7});
+  short_ping[8] = 4;  // low byte of the little-endian length field
+  short_ping.resize(kHeaderBytes + 4);
+  for (const std::string& input : {garbage, short_ping}) {
+    SCOPED_TRACE(input.size());
+    const Graph g = complete(12);
+    EstimateNetServer server(static_graph_source(g), base_config());
+    const int fd = connect_loopback(server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(send_all(fd, input.data(), input.size()));
 
-  // Expect one kError frame, then EOF.
-  FrameReader reader;
-  char buf[4096];
-  bool got_error = false;
-  bool got_eof = false;
-  for (int rounds = 0; rounds < 100 && !got_eof; ++rounds) {
-    const ssize_t n = recv_some(fd, buf, sizeof(buf), 200);
-    if (n == kRecvTimeout) continue;
-    if (n <= 0) {
-      got_eof = true;
-      break;
+    // Expect one kError frame, then EOF.
+    FrameReader reader;
+    char buf[4096];
+    bool got_error = false;
+    bool got_eof = false;
+    for (int rounds = 0; rounds < 100 && !got_eof; ++rounds) {
+      const ssize_t n = recv_some(fd, buf, sizeof(buf), 200);
+      if (n == kRecvTimeout) continue;
+      if (n <= 0) {
+        got_eof = true;
+        break;
+      }
+      reader.append(buf, static_cast<std::size_t>(n));
+      Frame frame;
+      while (reader.next(frame) == DecodeStatus::kFrame) {
+        if (frame.type() == FrameType::kError) got_error = true;
+      }
     }
-    reader.append(buf, static_cast<std::size_t>(n));
-    Frame frame;
-    while (reader.next(frame) == DecodeStatus::kFrame) {
-      if (frame.type() == FrameType::kError) got_error = true;
-    }
+    ::close(fd);
+    EXPECT_TRUE(got_error);
+    EXPECT_TRUE(got_eof);
+    EXPECT_GE(
+        counter_value(server.metrics().snapshot(), "net.protocol_errors"), 1u);
   }
-  ::close(fd);
-  EXPECT_TRUE(got_error);
-  EXPECT_TRUE(got_eof);
-  EXPECT_GE(counter_value(server.metrics().snapshot(), "net.protocol_errors"),
-            1u);
 }
 
 TEST(NetServer, ServesManyConnectionsAcrossAcceptorPool) {

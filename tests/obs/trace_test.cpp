@@ -40,8 +40,7 @@ struct Installed {
   TraceRecorder& rec;
 };
 
-// Only referenced by the OVERCOUNT_TRACE_ENABLED test block below.
-[[maybe_unused]] std::size_t count_events(
+std::size_t count_events(
     const std::vector<TraceEvent>& events, std::string_view name) {
   std::size_t n = 0;
   for (const auto& e : events)
@@ -107,8 +106,6 @@ TEST(TraceRecorder, EventsMergeSortedByTimestamp) {
   EXPECT_STREQ(events[0].name, "early");
   EXPECT_STREQ(events[1].name, "late");
 }
-
-#if OVERCOUNT_TRACE_ENABLED
 
 TEST(TraceSites, SpanAndHelpersRecordOnlyWhenInstalled) {
   TraceRecorder rec;
@@ -212,8 +209,6 @@ TEST(TraceSites, ParallelRunnerEmitsDispatchAndTaskSpans) {
   EXPECT_LE(rec.thread_count(), 5u);  // 4 workers + the dispatching thread
 }
 
-#endif  // OVERCOUNT_TRACE_ENABLED
-
 TEST(TraceDeterminism, TracedEstimatesBitIdenticalToUntraced) {
   const Graph g = test_graph();
   ParallelRunner runner(4);
@@ -236,9 +231,7 @@ TEST(TraceDeterminism, TracedEstimatesBitIdenticalToUntraced) {
   EXPECT_EQ(traced_sc.simple, plain_sc.simple);
   EXPECT_EQ(traced_sc.ml, plain_sc.ml);
   EXPECT_EQ(traced_sc.hops, plain_sc.hops);
-#if OVERCOUNT_TRACE_ENABLED
   EXPECT_FALSE(rec.events().empty());
-#endif
 }
 
 TEST(TraceExport, ChromeTraceJsonParsesWithExpectedStructure) {
