@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "common.hpp"
 #include "shard/engine.hpp"
@@ -84,8 +85,9 @@ int main() {
                    std::to_string(direct_stats.rounds),
                    format_double(direct_mpss, 2)});
 
-    // Stitched: boundary arrivals consume precomputed lambda-step segments,
-    // so handoffs amortise to ~1/lambda per step.
+    // Stitched: every visit to a boundary node replays a lambda-step
+    // segment walked on demand from that node's stream, so handoffs
+    // amortise to ~1/lambda per step.
     SegmentStore store(sharded, StitchConfig{});
     engine.enable_stitching(store);
     const TourBatch stitched =
@@ -116,6 +118,14 @@ int main() {
                  static_cast<double>(direct_stats.rounds));
     record_value(tag + ".rounds_stitched",
                  static_cast<double>(stitched_stats.rounds));
+    for (const auto& [path, stats] :
+         {std::pair{"direct", direct_stats},
+          std::pair{"stitched", stitched_stats}}) {
+      record_value(tag + "." + path + "_max_mailbox_depth",
+                   static_cast<double>(stats.max_mailbox_depth));
+      record_value(tag + "." + path + "_tokens_issued",
+                   static_cast<double>(stats.tokens_issued));
+    }
     table.add_row({std::to_string(shards), "stitched",
                    format_double(stitched_hpt, 2), format_double(ratio, 4),
                    std::to_string(stitched_stats.rounds),

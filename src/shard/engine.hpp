@@ -3,14 +3,18 @@
 // instead of shared random access to one flat CSR.
 //
 // Execution model — BSP supersteps over the existing ParallelRunner:
-// each round dispatches one task per shard; a shard's task drains its
-// mailbox, advances every delivered walk through its own CSR slice until
-// the walk retires or steps onto a non-owned node, and pushes the frozen
-// walks (WalkToken bundles) to their owners' mailboxes. Tokens pushed in
-// round r are processed in round r+1, so the loop is deadlock-free at any
-// pool size (a round needs no shard to wait on another) and ParallelRunner's
-// batch barrier gives the happens-before edge that makes per-walk state
-// (probes, trial trackers, result slots) safely migrate between workers.
+// each round dispatches one task per shard; a shard's task advances every
+// walk in its inbox over the rows of the nodes it owns until the walk
+// retires or steps onto a node another shard owns, and appends the frozen
+// walk (a WalkToken) to its own row of the batch's S x S outbox matrix,
+// in the cell of the owner. Between the barriers the calling thread builds
+// each shard's next inbox from its outbox column in source-shard order (the
+// seeds are round 0's inboxes). Tokens sent in round r are processed in
+// round r+1, so the loop is deadlock-free at any pool size (a round needs
+// no shard to wait on another), no lock is needed (a task writes only its
+// own row), and ParallelRunner's batch barrier gives the happens-before
+// edge that makes per-walk state (probes, trial trackers, result slots)
+// safely migrate between workers.
 //
 // Bit-identity contract (the repo's correctness pillar, PRs 1-5): the token
 // path replays the scalar walk EXACTLY — every draw comes from the walk's
@@ -28,8 +32,9 @@
 // Segment stitching (opt-in, enable_stitching): at every visit to a node
 // the segment store pools — a boundary node, reached by a handoff, by a
 // step inside the shard, or at the end of a previous segment — the engine
-// replays a precomputed lambda-step segment (shard/segment.hpp) instead of
-// drawing edge by edge, and checks ownership only at the segment's end,
+// has the store walk a lambda-step segment (shard/segment.hpp) into the
+// shard's own segment buffer and replays it instead of drawing edge by
+// edge, and checks ownership only at the segment's end,
 // completing an L-step tour in ~L/lambda handoffs (Das Sarma et al.). A
 // stitched step differs from a token step only in where its draws come
 // from: the segment store's per-node streams, not the token's stream, so
@@ -50,7 +55,6 @@
 #include <span>
 #include <stdexcept>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "core/parallel.hpp"
@@ -76,12 +80,12 @@ struct ShardRunStats {
   std::uint64_t rounds = 0;            ///< BSP supersteps executed
   std::uint64_t handoffs = 0;          ///< mid-walk cross-shard migrations
   std::uint64_t reports = 0;           ///< S&C sample reports pushed home
-  std::uint64_t stitches = 0;          ///< precomputed segments consumed
+  std::uint64_t stitches = 0;          ///< segments taken and replayed
   std::uint64_t stitch_steps = 0;      ///< walk steps covered by segments
-  std::uint64_t tokens_issued = 0;     ///< pushes (seeds+handoffs+reports)
-  std::uint64_t tokens_consumed = 0;   ///< tokens drained and processed
+  std::uint64_t tokens_issued = 0;     ///< seeds + handoffs + reports
+  std::uint64_t tokens_consumed = 0;   ///< tokens delivered and processed
   std::uint64_t total_steps = 0;       ///< walk steps / hops in the batch
-  std::uint64_t max_mailbox_depth = 0; ///< largest single drain
+  std::uint64_t max_mailbox_depth = 0; ///< largest single inbox
 };
 
 class ShardedWalkEngine {
@@ -162,7 +166,7 @@ class ShardedWalkEngine {
     auto streams = derive_streams(seed, m);
 
     const double dd0 = static_cast<double>(graph_->degree(origin));
-    // Seed serially on the driver thread: replay the scalar prologue
+    // Seed serially on the calling thread: replay the scalar prologue
     // (walk_begin, then the first step through the walk's own stream and
     // its loop-condition check) so every token enters the round loop at the
     // scalar loop top.
@@ -182,10 +186,8 @@ class ShardedWalkEngine {
                     w.steps, w.counter, rng});
       }
     }
-    push_seeds(ctx);
 
-    run_rounds(ctx, m, [&](std::uint32_t s, WalkToken& tk, Cell& cell,
-                           std::vector<std::vector<WalkToken>>& outs) {
+    run_rounds(ctx, m, [&](std::uint32_t s, WalkToken& tk, Cell& cell) {
       // Token invariant: tk.at passed the loop condition and was visited,
       // but not yet accumulated.
       TourWalk w{tk.at, tk.acc, tk.steps};
@@ -206,7 +208,7 @@ class ShardedWalkEngine {
         tk.at = w.at;
         tk.steps = w.steps;
         tk.acc = w.counter;
-        if (hand_off(s, tk, cell, outs)) return;
+        if (hand_off(s, tk, cell)) return;
       }
     });
 
@@ -237,11 +239,10 @@ class ShardedWalkEngine {
     seed_at_origin(ctx, WalkKind::kSample, origin, timer_horizon,
                    derive_streams(seed, m), probes);
 
-    run_rounds(ctx, m, [&](std::uint32_t s, WalkToken& tk, Cell& cell,
-                           std::vector<std::vector<WalkToken>>& outs) {
+    run_rounds(ctx, m, [&](std::uint32_t s, WalkToken& tk, Cell& cell) {
       // Token invariant: tk.at visited, its sojourn not yet drawn;
       // tk.acc = remaining timer, tk.steps = hops so far.
-      if (advance_ctrw(s, tk, cell, outs, probes)) {
+      if (advance_ctrw(s, tk, cell, probes)) {
         trace_flow("shard", "walk.flow", 'f', tk.flow);
         batch.samples[tk.walk] = {tk.at, tk.steps};
         ++cell.retired;
@@ -290,8 +291,7 @@ class ShardedWalkEngine {
     seed_at_origin(ctx, WalkKind::kScWalk, origin, timer_horizon,
                    derive_streams(seed, trials), probes);
 
-    run_rounds(ctx, trials, [&](std::uint32_t s, WalkToken& tk, Cell& cell,
-                                std::vector<std::vector<WalkToken>>& outs) {
+    run_rounds(ctx, trials, [&](std::uint32_t s, WalkToken& tk, Cell& cell) {
       for (;;) {
         if (tk.kind == WalkKind::kScReport) {
           // At home: fold the sampled node into the trial, then either
@@ -313,14 +313,14 @@ class ShardedWalkEngine {
           tk.acc = timer_horizon;
           continue;  // fall through into the walk phase
         }
-        if (!advance_ctrw(s, tk, cell, outs, probes))
+        if (!advance_ctrw(s, tk, cell, probes))
           return;  // walk handed off mid-flight
         // Walk died at tk.at: report home. When this worker IS home,
         // process the report inline — same round, same deterministic order.
         tk.kind = WalkKind::kScReport;
         if (s == home) continue;
         ++cell.reports;
-        outs[home].push_back(frozen(tk));
+        cell.outs[home].push_back(frozen(tk));
         return;
       }
     });
@@ -332,19 +332,28 @@ class ShardedWalkEngine {
   }
 
  private:
-  /// Per-shard per-round counters; slot s is written only by shard s's
-  /// worker during a round and folded (then reset) by the driver thread
-  /// between rounds. Cache-line-sized to keep neighbouring workers off each
-  /// other's lines.
-  struct alignas(64) Cell {
+  /// Per-shard per-round counters, folded (then reset) by the calling
+  /// thread between rounds.
+  struct RoundCounts {
     std::uint64_t processed = 0;
     std::uint64_t retired = 0;
     std::uint64_t handoffs = 0;
     std::uint64_t reports = 0;
-    std::uint64_t issued = 0;
     std::uint64_t stitches = 0;
     std::uint64_t stitch_steps = 0;
-    std::size_t depth = 0;
+    std::size_t depth = 0;  ///< inbox size at delivery
+  };
+
+  /// Shard s's slot of a batch: written only by shard s's task during a
+  /// round and by the calling thread between rounds. `outs` is row s of the
+  /// outbox matrix (outs[d] holds the tokens bound for shard d). The vectors
+  /// keep their capacity across rounds. Cache-line-aligned to keep
+  /// neighbouring tasks off each other's lines.
+  struct alignas(64) Cell : RoundCounts {
+    explicit Cell(std::uint32_t shards) : outs(shards) {}
+    std::vector<WalkToken> inbox;
+    std::vector<std::vector<WalkToken>> outs;
+    WalkSegment segment;  ///< the segment being replayed, when stitching
   };
 
   /// Wall+CPU stopwatch matching ParallelRunner::dispatch's accounting.
@@ -377,42 +386,39 @@ class ShardedWalkEngine {
           cost_span("cost", "cost.ctx", "cost_ctx", cost_ctx),
           batch_span("shard", span, arg, walks),
           flow_base(reserve_flows(walks)),
-          mail(shards),
-          cells(shards),
-          seeds(shards) {}
+          cells(shards, Cell(shards)) {}
     std::uint32_t cost_ctx;  ///< cost context the batch is charged to
     TraceSpan cost_span;
     TraceSpan batch_span;
     BatchTimer timer;
     std::uint64_t flow_base;  ///< first flow id of the batch (0 = untraced)
-    std::vector<ShardMailbox> mail;
     std::vector<Cell> cells;
-    std::vector<std::vector<WalkToken>> seeds;  ///< round-0 tokens by shard
     ShardRunStats stats;
     std::size_t retired = 0;  ///< walks finished (incl. during seeding)
   };
 
   /// Replays a segment at every visit to a pooled node: starts one when
-  /// stitching is on, none is being replayed and the store pools `at`.
+  /// stitching is on, none is being replayed and the store pools `at`. A
+  /// replay ends before its token is handed off or retired, so one segment
+  /// buffer per shard suffices.
   void take_segment(StitchedDraws& draws, NodeId at, Cell& cell,
                     std::uint64_t flow) {
     if (store_ == nullptr || draws.replaying()) return;
-    if (const WalkSegment* seg = store_->take(at)) {
+    if (store_->take(at, cell.segment)) {
       ++cell.stitches;
       trace_flow("shard", "walk.stitch", 't', flow, "len",
-                 static_cast<std::uint64_t>(seg->nodes.size() - 1));
-      draws.replay(*seg);
+                 static_cast<std::uint64_t>(cell.segment.nodes.size() - 1));
+      draws.replay(cell.segment);
     }
   }
 
-  /// Pushes token `tk` to the owner of tk.at when that is not shard `s`;
+  /// Sends token `tk` to the owner of tk.at when that is not shard `s`;
   /// returns false, doing nothing, when s owns it.
-  bool hand_off(std::uint32_t s, const WalkToken& tk, Cell& cell,
-                std::vector<std::vector<WalkToken>>& outs) const {
+  bool hand_off(std::uint32_t s, const WalkToken& tk, Cell& cell) const {
     const std::uint32_t owner = graph_->owner(tk.at);
     if (owner == s) return false;
     ++cell.handoffs;
-    outs[owner].push_back(frozen(tk));
+    cell.outs[owner].push_back(frozen(tk));
     return true;
   }
 
@@ -423,7 +429,6 @@ class ShardedWalkEngine {
   /// and tk.rng the stream to continue on.
   template <WalkProbe P>
   bool advance_ctrw(std::uint32_t s, WalkToken& tk, Cell& cell,
-                    std::vector<std::vector<WalkToken>>& outs,
                     std::span<P> probes) {
     CtrwWalk w{tk.at, tk.acc, tk.steps};
     StitchedDraws draws(tk.rng);
@@ -440,7 +445,7 @@ class ShardedWalkEngine {
       tk.steps = w.hops;
       tk.acc = w.remaining;
       if (next == nullptr) return true;
-      if (hand_off(s, tk, cell, outs)) return false;
+      if (hand_off(s, tk, cell)) return false;
     }
   }
 
@@ -463,11 +468,11 @@ class ShardedWalkEngine {
                : 0;
   }
 
-  /// Queues a freshly seeded token for `shard`, stamping its migration
-  /// metadata and opening its causal chain ('s' flow event on the driver,
-  /// inside the batch span). The cost context rides the token so the
-  /// thawing shard charges every delivery to the (tenant, query) that
-  /// seeded the walk.
+  /// Puts a freshly seeded token in `shard`'s round-0 inbox, stamping its
+  /// migration metadata and opening its causal chain ('s' flow event on the
+  /// calling thread, inside the batch span). The cost context rides the
+  /// token so the thawing shard charges every delivery to the (tenant,
+  /// query) that seeded the walk.
   void seed_token(BatchContext& ctx, std::uint32_t shard,
                   WalkToken t) const {
     if (ctx.flow_base != 0) {
@@ -475,7 +480,8 @@ class ShardedWalkEngine {
       trace_flow("shard", "walk.flow", 's', t.flow, "walk", t.walk);
     }
     t.ctx = ctx.cost_ctx;
-    ctx.seeds[shard].push_back(frozen(t));
+    ++ctx.stats.tokens_issued;
+    ctx.cells[shard].inbox.push_back(frozen(t));
   }
 
   /// Stamps the freeze time of a migrating token, which feeds the latency
@@ -499,27 +505,32 @@ class ShardedWalkEngine {
                  {static_cast<std::uint32_t>(i), kind, origin, 0, timer,
                   streams[i]});
     }
-    push_seeds(ctx);
   }
 
-  void push_seeds(BatchContext& ctx) {
-    // The driver's seed bundles carry a source id past every shard; they
-    // are the only bundles of round 0, so the tag only keeps drain order
-    // well-defined.
-    const std::uint32_t driver = graph_->num_shards();
-    for (std::uint32_t d = 0; d < graph_->num_shards(); ++d) {
-      ctx.stats.tokens_issued += ctx.seeds[d].size();
-      ctx.mail[d].push_bundle(driver, std::move(ctx.seeds[d]));
+  /// Builds every shard's inbox from its outbox column, in source-shard
+  /// order, and records its depth. Runs on the calling thread between the
+  /// round barriers, so a token sent in round r is processed in round r+1
+  /// no matter how the pool schedules the shard tasks. Delivering inside the
+  /// tasks instead would let a token sent early in round r be picked up
+  /// late in the same round — the rounds counter, and with stitching the
+  /// per-node segment take() order, would then depend on thread timing.
+  static void deliver(BatchContext& ctx) {
+    for (std::size_t d = 0; d < ctx.cells.size(); ++d) {
+      std::vector<WalkToken>& inbox = ctx.cells[d].inbox;
+      for (Cell& from : ctx.cells) {
+        inbox.insert(inbox.end(), from.outs[d].begin(), from.outs[d].end());
+        from.outs[d].clear();
+      }
+      ctx.cells[d].depth = inbox.size();
     }
   }
 
-  /// Runs BSP supersteps until every walk retired. `process(s, token, cell,
-  /// outs)` advances one token inside shard s, appending any outgoing
-  /// tokens to outs[destination].
+  /// Runs BSP supersteps until every walk retired. `process(s, token,
+  /// cell)` advances one token inside shard s, appending any outgoing
+  /// tokens to cell.outs[destination].
   template <typename Process>
   void run_rounds(BatchContext& ctx, std::size_t total, Process&& process) {
     const std::uint32_t shards = graph_->num_shards();
-    std::vector<std::vector<WalkToken>> inboxes(shards);
     // Liveness beacon: armed for the batch, one beat per superstep. The
     // guard disarms even when fold_round throws on a token leak — a stall
     // alarm must not outlive the batch that caused it.
@@ -540,21 +551,11 @@ class ShardedWalkEngine {
             std::chrono::microseconds(inject_delay_us_));
       TraceSpan round_span("shard", "shard.round", "in_flight",
                            static_cast<std::uint64_t>(total - ctx.retired));
-      // Strict BSP: the DRIVER drains every mailbox between the round
-      // barriers, so a token pushed in round r is processed in round r+1
-      // no matter how the pool schedules the shard tasks. Draining inside
-      // the tasks instead would let a bundle pushed early in round r be
-      // picked up late in the same round — the rounds counter, and with
-      // stitching the per-node segment take() order, would then depend on
-      // thread timing.
-      for (std::uint32_t s = 0; s < shards; ++s)
-        inboxes[s] = ctx.mail[s].drain(&ctx.cells[s].depth);
+      deliver(ctx);
       runner_->run<char>(shards, [&](std::size_t si) {
         const auto s = static_cast<std::uint32_t>(si);
         Cell& cell = ctx.cells[s];
-        std::vector<WalkToken> inbox = std::move(inboxes[s]);
-        std::vector<std::vector<WalkToken>> outs(shards);
-        for (WalkToken& tk : inbox) {
+        for (WalkToken& tk : cell.inbox) {
           ++cell.processed;
           // Every delivered token is billed to the context that seeded its
           // walk — the id rode the token across the handoff, so a shard
@@ -569,23 +570,19 @@ class ShardedWalkEngine {
             // stepping through it — Perfetto chains these across shards.
             TraceSpan hop_span("shard", "walk.hop", "walk", tk.walk);
             trace_flow("shard", "walk.flow", 't', tk.flow);
-            process(s, tk, cell, outs);
+            process(s, tk, cell);
           } else {
-            process(s, tk, cell, outs);
+            process(s, tk, cell);
           }
         }
-        for (std::uint32_t d = 0; d < shards; ++d) {
-          if (outs[d].empty()) continue;
-          cell.issued += outs[d].size();
-          ctx.mail[d].push_bundle(s, std::move(outs[d]));
-        }
+        cell.inbox.clear();
         return char{0};
       });
       fold_round(ctx, total);
     }
   }
 
-  /// Folds (and resets) the per-shard round counters on the driver thread;
+  /// Folds (and resets) the per-shard round counters on the calling thread;
   /// runs strictly between round barriers.
   void fold_round(BatchContext& ctx, std::size_t total) {
     std::uint64_t processed = 0;
@@ -594,7 +591,7 @@ class ShardedWalkEngine {
       ctx.retired += cell.retired;
       ctx.stats.handoffs += cell.handoffs;
       ctx.stats.reports += cell.reports;
-      ctx.stats.tokens_issued += cell.issued;
+      ctx.stats.tokens_issued += cell.handoffs + cell.reports;
       ctx.stats.stitches += cell.stitches;
       ctx.stats.stitch_steps += cell.stitch_steps;
       ctx.stats.max_mailbox_depth =
@@ -602,7 +599,7 @@ class ShardedWalkEngine {
                    static_cast<std::uint64_t>(cell.depth));
       if (depth_m_ != nullptr)
         depth_m_->record(static_cast<std::uint64_t>(cell.depth));
-      cell = Cell{};
+      static_cast<RoundCounts&>(cell) = RoundCounts{};
     }
     ctx.stats.tokens_consumed += processed;
     if (in_flight_m_ != nullptr)

@@ -8,13 +8,11 @@ ShardPlan::ShardPlan(std::vector<std::uint32_t> owner,
                      std::uint32_t num_shards)
     : owner_(std::move(owner)) {
   OVERCOUNT_EXPECTS(num_shards >= 1);
-  local_.resize(owner_.size());
   nodes_.resize(num_shards);
-  // Ascending global-id scan assigns local ids in sorted order per shard.
+  // An ascending global-id scan lists each shard's nodes in sorted order.
   for (NodeId v = 0; v < owner_.size(); ++v) {
     const std::uint32_t s = owner_[v];
     OVERCOUNT_EXPECTS(s < num_shards);
-    local_[v] = static_cast<std::uint32_t>(nodes_[s].size());
     nodes_[s].push_back(v);
   }
 }

@@ -1,14 +1,15 @@
 // Graph partitioning for the sharded walk engine: which shard owns which
-// node, and the (shard, local-id) coordinate system walk tokens travel in.
+// node. Walk tokens carry global node ids; the owner decides which shard's
+// task advances a walk next.
 //
-// A ShardPlan is an owner assignment node -> shard plus the induced local-id
-// numbering (ascending global id within each shard). Partitioners are
-// pluggable: the contiguous node-range partitioner is the first (and
-// cheapest) policy, a degree-balanced variant shows the interface carries
-// real alternatives, and a future METIS-style min-cut policy slots in
-// without touching the engine. Das Sarma et al. (PAPERS.md) only require
-// that every node has exactly one owner; the quality of the cut shows up as
-// the handoff rate, not as correctness.
+// A ShardPlan is an owner assignment node -> shard plus each shard's owned
+// nodes in ascending global-id order. Partitioners are pluggable: the
+// contiguous node-range partitioner is the first (and cheapest) policy, a
+// degree-balanced variant shows the interface carries real alternatives,
+// and a future METIS-style min-cut policy slots in without touching the
+// engine. Das Sarma et al. (PAPERS.md) only require that every node has
+// exactly one owner; the quality of the cut shows up as the handoff rate,
+// not as correctness.
 #pragma once
 
 #include <cstdint>
@@ -21,9 +22,7 @@
 
 namespace overcount {
 
-/// Immutable node -> shard assignment with per-shard local-id numbering.
-/// Local ids are assigned in ascending global-id order within each shard,
-/// so (shard, local) <-> global is a bijection over the whole node set.
+/// Immutable node -> shard assignment; every node has exactly one owner.
 class ShardPlan {
  public:
   ShardPlan() = default;
@@ -47,20 +46,7 @@ class ShardPlan {
     return owner_[v];
   }
 
-  /// v's index inside its owning shard (dense, 0-based).
-  std::uint32_t local_id(NodeId v) const {
-    OVERCOUNT_EXPECTS(v < local_.size());
-    return local_[v];
-  }
-
-  /// Inverse of (shard_of, local_id).
-  NodeId global_id(std::uint32_t shard, std::uint32_t local) const {
-    OVERCOUNT_EXPECTS(shard < nodes_.size());
-    OVERCOUNT_EXPECTS(local < nodes_[shard].size());
-    return nodes_[shard][local];
-  }
-
-  /// Global ids owned by `shard`, in local-id order (ascending).
+  /// Global ids owned by `shard`, ascending.
   std::span<const NodeId> nodes_of(std::uint32_t shard) const {
     OVERCOUNT_EXPECTS(shard < nodes_.size());
     return nodes_[shard];
@@ -68,7 +54,6 @@ class ShardPlan {
 
  private:
   std::vector<std::uint32_t> owner_;       // node -> shard
-  std::vector<std::uint32_t> local_;       // node -> local id
   std::vector<std::vector<NodeId>> nodes_; // shard -> owned globals, sorted
 };
 

@@ -1,7 +1,6 @@
-// Precomputed walk segments for stitched cross-shard walks (Das Sarma et
-// al., Distributed Random Walks: complete a length-L walk in ~sqrt(L)
-// handoffs by splicing short precomputed sub-walks instead of stepping one
-// edge per message).
+// Walk segments for stitched cross-shard walks (Das Sarma et al.,
+// Distributed Random Walks: complete a length-L walk in ~sqrt(L) handoffs
+// by splicing short sub-walks instead of stepping one edge per message).
 //
 // Every handoff delivers a walk to a node that has at least one neighbour
 // in the sending shard — i.e. a BOUNDARY node of the receiving shard. The
@@ -12,16 +11,20 @@
 // next owner check, so it pays at most one handoff per lambda steps instead
 // of one per crossing edge.
 //
+// A segment is walked when it is taken, from its node's stream, so the
+// k-th segment taken at v is the k-th lambda-step walk drawn from v's
+// stream, whatever was taken at other nodes in between.
+//
 // Randomness discipline: segment draws come from per-NODE streams — the
 // v-th Rng::split of a master seeded with the stitch seed, the same
 // derive_streams discipline as the kernel. The stream is a pure function of
 // (seed, v), independent of the shard count, and every take() consumes
-// fresh randomness (pools refill on demand from the node's persisted
-// stream), so stitched walks follow the exact simple-random-walk law —
-// uniform neighbour choice and Exp(d) sojourns — just not the token path's
-// draw ORDER. Stitching is consequently an opt-in fast path verified
-// statistically (tests/shard/shard_statistical_test.cpp), while the token
-// path stays the bit-identical reference.
+// fresh randomness from the node's persisted stream, so stitched walks
+// follow the exact simple-random-walk law — uniform neighbour choice and
+// Exp(d) sojourns — just not the token path's draw ORDER. Stitching is
+// consequently an opt-in fast path verified statistically
+// (tests/shard/shard_statistical_test.cpp), while the token path stays the
+// bit-identical reference.
 //
 // Staleness: a store snapshots a ShardedGraph, which snapshots a
 // DynamicGraph version. Segments walk the snapshot topology; the engine
@@ -29,11 +32,9 @@
 // store's (see ShardedWalkEngine::enable_stitching).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -43,9 +44,9 @@
 
 namespace overcount {
 
-/// A precomputed sub-walk: lambda steps starting at nodes[0] (so
-/// nodes.size() == lambda + 1). sojourns[i] is the Exp(degree(nodes[i]))
-/// sojourn drawn at nodes[i]; tours ignore sojourns, CTRW consumes them.
+/// A sub-walk: lambda steps starting at nodes[0] (so nodes.size() ==
+/// lambda + 1). sojourns[i] is the Exp(degree(nodes[i])) sojourn drawn at
+/// nodes[i]; tours ignore sojourns, CTRW consumes them.
 struct WalkSegment {
   std::vector<NodeId> nodes;
   std::vector<double> sojourns;
@@ -84,58 +85,39 @@ class StitchedDraws {
   std::size_t k_ = 0;
 };
 
-/// Stitching parameters. `segment_length` is lambda — the handoff
-/// amortisation factor; `segments_per_node` only sizes the precomputed
-/// pool (exhausted pools refill on demand, so it is a warm-up knob, not a
-/// budget).
+/// Stitching parameters. `segment_length` is lambda, the handoff
+/// amortisation factor.
 struct StitchConfig {
   std::uint64_t seed = 0x5e95e9;
   std::size_t segment_length = 16;
-  std::size_t segments_per_node = 4;
 };
 
-/// Per-boundary-node pools of precomputed segments with on-demand refill.
+/// Per-node segment streams, walked on demand at pooled nodes: the nodes
+/// with a neighbour owned by another shard.
 ///
-/// Concurrency: the pool map is built entirely in the constructor and never
-/// rehashed afterwards. A pool for node v is only ever touched by the worker
-/// of v's owning shard (the engine stitches only at owned nodes), so pool
-/// mutation needs no locks; the generated-segments counter is the one
-/// cross-worker cell and is atomic.
+/// Concurrency: the pooled flags are fixed in the constructor. Node v's
+/// stream is only ever advanced by the task of v's owning shard (the engine
+/// stitches only at owned nodes), and each task walks into a segment it
+/// owns, so nothing is shared between shards and no lock is needed.
 class SegmentStore {
  public:
   SegmentStore(const ShardedGraph& g, StitchConfig cfg);
 
-  /// Consumes one fresh segment starting at `v`, or nullptr when v has no
-  /// pool (not a boundary node). The returned segment is valid until the
-  /// next take() for the same node. Must only be called by the worker
-  /// owning v's shard.
-  const WalkSegment* take(NodeId v);
+  /// Walks v's next lambda-step segment from v's stream into `seg` and
+  /// returns true, or returns false, leaving `seg` alone, when v is not
+  /// pooled. Must only be called by the task owning v's shard.
+  bool take(NodeId v, WalkSegment& seg);
 
-  const StitchConfig& config() const noexcept { return cfg_; }
-  std::size_t pooled_nodes() const noexcept { return pools_.size(); }
   /// ShardedGraph::source_version() of the snapshot the segments walk.
   std::uint64_t source_version() const noexcept {
     return graph_->source_version();
   }
-  /// Total segments drawn (precomputed + on-demand refills).
-  std::uint64_t segments_generated() const noexcept {
-    return generated_.load(std::memory_order_relaxed);
-  }
 
  private:
-  struct Pool {
-    std::vector<WalkSegment> ready;  ///< precomputed, consumed front-to-back
-    std::size_t next = 0;
-    Rng stream{0};        ///< the node's persisted stream, for refills
-    WalkSegment scratch;  ///< refill target once `ready` is exhausted
-  };
-
-  void fill(WalkSegment& seg, NodeId v, Rng& stream) const;
-
   const ShardedGraph* graph_;
   StitchConfig cfg_;
-  std::unordered_map<NodeId, Pool> pools_;
-  mutable std::atomic<std::uint64_t> generated_{0};
+  std::vector<Rng> streams_;  ///< node -> its segment stream
+  std::vector<bool> pooled_;  ///< node -> has a cross-shard neighbour
 };
 
 }  // namespace overcount

@@ -4,28 +4,15 @@ namespace overcount {
 
 template <typename G>
 void ShardedGraph::build(const G& g) {
-  shards_.resize(plan_.num_shards());
-  for (std::uint32_t s = 0; s < plan_.num_shards(); ++s) {
-    Shard& shard = shards_[s];
-    const auto owned = plan_.nodes_of(s);
-    shard.nodes.assign(owned.begin(), owned.end());
-    shard.offsets.reserve(owned.size() + 1);
-    shard.offsets.push_back(0);
-    for (const NodeId v : owned) {
-      const auto row = g.neighbors(v);
-      // Verbatim row copy: same targets, same order, as the source. The
-      // engine's bit-identity to the flat kernel rests on this line.
-      shard.adjacency.insert(shard.adjacency.end(), row.begin(), row.end());
-      shard.offsets.push_back(shard.adjacency.size());
-      bool crosses = false;
-      for (const NodeId t : row) {
-        if (plan_.shard_of(t) == s) continue;
-        crosses = true;
-        shard.ghosts.emplace(
-            t, GhostRef{plan_.shard_of(t), plan_.local_id(t)});
-      }
-      if (crosses) shard.boundary.push_back(v);
-    }
+  offsets_.reserve(num_nodes() + 1);
+  offsets_.push_back(0);
+  adjacency_.reserve(g.total_degree());
+  for (NodeId v = 0; v < num_nodes(); ++v) {
+    // Verbatim row copy: same targets, same order, as the source. The
+    // engine's bit-identity to the flat kernel rests on this line.
+    const auto row = g.neighbors(v);
+    adjacency_.insert(adjacency_.end(), row.begin(), row.end());
+    offsets_.push_back(adjacency_.size());
   }
 }
 
@@ -39,12 +26,6 @@ ShardedGraph::ShardedGraph(const DynamicGraph& g, ShardPlan plan)
     : plan_(std::move(plan)), source_version_(g.version()) {
   OVERCOUNT_EXPECTS(plan_.num_nodes() == g.num_slots());
   build(g);
-}
-
-std::size_t ShardedGraph::total_degree() const noexcept {
-  std::size_t total = 0;
-  for (const auto& s : shards_) total += s.adjacency.size();
-  return total;
 }
 
 }  // namespace overcount

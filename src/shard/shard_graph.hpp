@@ -1,13 +1,13 @@
-// Sharded CSR view of an overlay graph: each shard owns a CSR slice of its
-// nodes' rows plus a ghost table resolving boundary out-edges to their
-// owner's (shard, local-id) coordinates.
+// Sharded view of an overlay graph: the owner plan plus one flat CSR over
+// global node ids.
 //
 // The adjacency rows are copied VERBATIM from the source topology (same
 // neighbour order), which is what makes the sharded engine bit-identical to
 // the flat kernel: a walk that draws neighbour index k at node v lands on
 // exactly the node the flat walk lands on, whether or not that node is in
 // the same shard. Sharding here reorders WHERE a step executes, never WHICH
-// step it is.
+// step it is. Tokens carry global ids, so routing a walk to the shard whose
+// task steps it next takes nothing beyond the plan.
 //
 // ShardedGraph is a snapshot: built once from a Graph or a DynamicGraph and
 // immutable afterwards. For DynamicGraph sources the snapshot records
@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/dynamic_graph.hpp"
@@ -26,85 +25,44 @@
 
 namespace overcount {
 
-/// A resolved cross-shard reference: where a non-owned node lives.
-struct GhostRef {
-  std::uint32_t shard = 0;
-  std::uint32_t local = 0;
-};
-
 class ShardedGraph {
  public:
-  /// One shard's slice of the graph.
-  struct Shard {
-    std::vector<NodeId> nodes;        ///< owned globals, local-id order
-    std::vector<std::size_t> offsets; ///< local CSR offsets, nodes.size()+1
-    std::vector<NodeId> adjacency;    ///< global targets, source row order
-    std::vector<NodeId> boundary;     ///< owned nodes with >=1 ghost edge
-    /// Boundary out-edges: every non-owned target appearing in `adjacency`,
-    /// resolved to its owner's coordinates.
-    std::unordered_map<NodeId, GhostRef> ghosts;
-
-    std::size_t degree(std::uint32_t local) const {
-      OVERCOUNT_EXPECTS(local + 1 < offsets.size());
-      return offsets[local + 1] - offsets[local];
-    }
-    std::span<const NodeId> neighbors(std::uint32_t local) const {
-      OVERCOUNT_EXPECTS(local + 1 < offsets.size());
-      return {adjacency.data() + offsets[local],
-              offsets[local + 1] - offsets[local]};
-    }
-  };
-
   ShardedGraph(const Graph& g, ShardPlan plan);
   /// DynamicGraph snapshot: copies the CURRENT adjacency (alive rows; dead
   /// slots become empty rows) and records the source's version() so later
   /// consumers can detect churn-induced staleness.
   ShardedGraph(const DynamicGraph& g, ShardPlan plan);
 
-  const ShardPlan& plan() const noexcept { return plan_; }
   std::uint32_t num_shards() const noexcept { return plan_.num_shards(); }
   std::size_t num_nodes() const noexcept { return plan_.num_nodes(); }
 
   /// DynamicGraph::version() at snapshot time; 0 for static Graph sources.
   std::uint64_t source_version() const noexcept { return source_version_; }
 
-  const Shard& shard(std::uint32_t s) const {
-    OVERCOUNT_EXPECTS(s < shards_.size());
-    return shards_[s];
-  }
-
   std::uint32_t owner(NodeId v) const { return plan_.shard_of(v); }
 
-  /// Resolves `target` as seen from `from_shard`: through the shard's ghost
-  /// table when the edge-local entry exists (every adjacency target has
-  /// one), else through the plan (stitched jumps can land on nodes no edge
-  /// of `from_shard` points at).
-  GhostRef resolve(std::uint32_t from_shard, NodeId target) const {
-    const auto& ghosts = shard(from_shard).ghosts;
-    if (const auto it = ghosts.find(target); it != ghosts.end())
-      return it->second;
-    return {plan_.shard_of(target), plan_.local_id(target)};
-  }
-
-  // OverlayTopology interface over global ids, routed through the owning
-  // shard's CSR slice. Row order is the source's row order, so walks on
-  // the sharded view draw the same neighbours as walks on the source.
+  // OverlayTopology interface over global ids. Row order is the source's
+  // row order, so walks on the sharded view draw the same neighbours as
+  // walks on the source.
   std::size_t degree(NodeId v) const {
-    return shards_[plan_.shard_of(v)].degree(plan_.local_id(v));
+    OVERCOUNT_EXPECTS(v < num_nodes());
+    return offsets_[v + 1] - offsets_[v];
   }
   std::span<const NodeId> neighbors(NodeId v) const {
-    return shards_[plan_.shard_of(v)].neighbors(plan_.local_id(v));
+    OVERCOUNT_EXPECTS(v < num_nodes());
+    return {adjacency_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
   }
 
-  /// Total adjacency entries across all shards (== 2|E| of the source).
-  std::size_t total_degree() const noexcept;
+  /// Total adjacency entries (== 2|E| of the source).
+  std::size_t total_degree() const noexcept { return adjacency_.size(); }
 
  private:
   template <typename G>
   void build(const G& g);
 
   ShardPlan plan_;
-  std::vector<Shard> shards_;
+  std::vector<std::size_t> offsets_;  // num_nodes() + 1
+  std::vector<NodeId> adjacency_;     // global targets, source row order
   std::uint64_t source_version_ = 0;
 };
 

@@ -1,23 +1,15 @@
 // The wire format of the sharded walk engine: a walk that steps onto a
 // node its current shard does not own is frozen into a compact WalkToken
-// and pushed to the owner's mailbox, where the next superstep thaws it and
-// keeps walking. The token is everything a walk IS — id, position, step
-// count, accumulator, RNG state — so handing one off moves the walk without
+// and sent to the owner, where the next superstep thaws it and keeps
+// walking. The token is everything a walk IS — id, position, step count,
+// accumulator, RNG state — so handing one off moves the walk without
 // copying any graph state, exactly the migration Das Sarma et al. perform
-// between distributed machines.
-//
-// Determinism: mailboxes accept whole per-source bundles and drain them
-// sorted by source shard. Within a bundle tokens keep their push order, and
-// each source pushes at most one bundle per superstep, so the drain order —
-// and therefore every downstream probe event and RNG draw — is a pure
-// function of the walk schedule, never of thread timing.
+// between distributed machines. Delivery order is the engine's business
+// (shard/engine.hpp): inboxes concatenate the senders' outboxes in
+// source-shard order, each in send order.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <mutex>
-#include <utility>
-#include <vector>
 
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
@@ -54,48 +46,6 @@ struct WalkToken {
   std::uint64_t flow = 0;       ///< causal-trace flow id (0 = untraced)
   std::uint64_t frozen_us = 0;  ///< freeze timestamp (0 = unstamped)
   std::uint32_t ctx = 0;        ///< cost-ledger context (0 = unattributed)
-};
-
-/// MPSC mailbox for one shard. Producers (other shards' workers) push one
-/// bundle per superstep; the engine's driver drains everything between the
-/// superstep barriers, so the drain never races a push and a bundle from
-/// round r is always delivered in round r+1. The mutex is uncontended in
-/// the common case — S producers touch it at most once per superstep each.
-class ShardMailbox {
- public:
-  /// Enqueues `tokens` from `source` shard. Empty bundles are dropped.
-  void push_bundle(std::uint32_t source, std::vector<WalkToken> tokens) {
-    if (tokens.empty()) return;
-    const std::lock_guard<std::mutex> lock(mutex_);
-    bundles_.emplace_back(source, std::move(tokens));
-  }
-
-  /// Removes and returns every pending token, ordered by source shard
-  /// (bundle push order preserved within a source). Also reports the
-  /// drained depth so the engine can histogram mailbox pressure.
-  std::vector<WalkToken> drain(std::size_t* depth = nullptr) {
-    std::vector<std::pair<std::uint32_t, std::vector<WalkToken>>> bundles;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      bundles.swap(bundles_);
-    }
-    std::stable_sort(bundles.begin(), bundles.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    std::vector<WalkToken> out;
-    std::size_t total = 0;
-    for (const auto& [src, tokens] : bundles) total += tokens.size();
-    out.reserve(total);
-    for (auto& [src, tokens] : bundles)
-      out.insert(out.end(), tokens.begin(), tokens.end());
-    if (depth != nullptr) *depth = total;
-    return out;
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<std::pair<std::uint32_t, std::vector<WalkToken>>> bundles_;
 };
 
 }  // namespace overcount

@@ -111,6 +111,23 @@ void expect_snapshots_match(const MetricsSnapshot& scalar,
   }
 }
 
+/// Every ShardRunStats field. Strict BSP delivery makes the whole message
+/// schedule (supersteps, handoffs, token totals, largest inbox) a function
+/// of the walks, never of how the pool timed the shard tasks, so the direct
+/// path's stats must agree across thread counts at each S.
+void expect_same_run_stats(const ShardRunStats& a, const ShardRunStats& b) {
+  EXPECT_EQ(a.walks, b.walks);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.handoffs, b.handoffs);
+  EXPECT_EQ(a.reports, b.reports);
+  EXPECT_EQ(a.stitches, b.stitches);
+  EXPECT_EQ(a.stitch_steps, b.stitch_steps);
+  EXPECT_EQ(a.tokens_issued, b.tokens_issued);
+  EXPECT_EQ(a.tokens_consumed, b.tokens_consumed);
+  EXPECT_EQ(a.total_steps, b.total_steps);
+  EXPECT_EQ(a.max_mailbox_depth, b.max_mailbox_depth);
+}
+
 TEST(ShardEquivalence, ToursBitIdenticalAcrossShardsThreadsWidths) {
   const Graph g = test_graph();
   const std::size_t m = 48;
@@ -139,6 +156,7 @@ TEST(ShardEquivalence, ToursBitIdenticalAcrossShardsThreadsWidths) {
   for (const std::uint32_t shards : kShards) {
     const ShardPlan plan = make_shard_plan(g, shards);
     const ShardedGraph sharded(g, plan);
+    std::vector<ShardRunStats> schedules;
     for (const unsigned threads : kThreads) {
       SCOPED_TRACE(::testing::Message()
                    << "S=" << shards << " threads=" << threads);
@@ -162,6 +180,8 @@ TEST(ShardEquivalence, ToursBitIdenticalAcrossShardsThreadsWidths) {
       if (shards == 1) {
         EXPECT_EQ(stats.handoffs, 0u);
       }
+      schedules.push_back(stats);
+      expect_same_run_stats(stats, schedules.front());
     }
   }
 }
@@ -321,16 +341,20 @@ TEST(ShardEquivalence, CtrwSamplesBitIdenticalToScalar) {
 
   for (const std::uint32_t shards : kShards) {
     const ShardedGraph sharded(g, make_shard_plan(g, shards));
+    std::vector<ShardRunStats> schedules;
     for (const unsigned threads : kThreads) {
       SCOPED_TRACE(::testing::Message()
                    << "S=" << shards << " threads=" << threads);
       ParallelRunner runner(threads);
       ShardedWalkEngine engine(sharded, runner);
       const SampleBatch batch = engine.run_samples(0, m, timer, kSeed);
+      schedules.push_back(engine.last_run_stats());
+      expect_same_run_stats(schedules.back(), schedules.front());
       WalkStats walk_stats;
       const SampleBatch probed = run_probed(m, walk_stats, [&](auto probes) {
         return engine.run_samples(0, m, timer, kSeed, probes);
       });
+      expect_same_run_stats(engine.last_run_stats(), schedules.back());
       for (std::size_t i = 0; i < m; ++i) {
         EXPECT_EQ(batch.samples[i].node, reference[i].node);
         EXPECT_EQ(batch.samples[i].hops, reference[i].hops);
@@ -359,6 +383,7 @@ TEST(ShardEquivalence, ScTrialsBitIdenticalToScalar) {
 
   for (const std::uint32_t shards : kShards) {
     const ShardedGraph sharded(g, make_shard_plan(g, shards));
+    std::vector<ShardRunStats> schedules;
     for (const unsigned threads : kThreads) {
       SCOPED_TRACE(::testing::Message()
                    << "S=" << shards << " threads=" << threads);
@@ -366,10 +391,13 @@ TEST(ShardEquivalence, ScTrialsBitIdenticalToScalar) {
       ShardedWalkEngine engine(sharded, runner);
       const ScBatch batch =
           engine.run_sc_trials(0, trials, timer, ell, kSeed);
+      schedules.push_back(engine.last_run_stats());
+      expect_same_run_stats(schedules.back(), schedules.front());
       WalkStats walk_stats;
       const ScBatch probed = run_probed(trials, walk_stats, [&](auto probes) {
         return engine.run_sc_trials(0, trials, timer, ell, kSeed, probes);
       });
+      expect_same_run_stats(engine.last_run_stats(), schedules.back());
       for (std::size_t i = 0; i < trials; ++i) {
         SCOPED_TRACE(::testing::Message() << "trial=" << i);
         EXPECT_EQ(batch.trials[i].ml, reference[i].ml);  // bitwise
@@ -501,19 +529,6 @@ struct StitchedPin {
   std::uint64_t visits = 0;
   double sojourn_time = 0.0;
 };
-
-void expect_same_run_stats(const ShardRunStats& a, const ShardRunStats& b) {
-  EXPECT_EQ(a.walks, b.walks);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.handoffs, b.handoffs);
-  EXPECT_EQ(a.reports, b.reports);
-  EXPECT_EQ(a.stitches, b.stitches);
-  EXPECT_EQ(a.stitch_steps, b.stitch_steps);
-  EXPECT_EQ(a.tokens_issued, b.tokens_issued);
-  EXPECT_EQ(a.tokens_consumed, b.tokens_consumed);
-  EXPECT_EQ(a.total_steps, b.total_steps);
-  EXPECT_EQ(a.max_mailbox_depth, b.max_mailbox_depth);
-}
 
 /// Runs `batch(engine, run)` on a fresh stitched engine. The store is fresh
 /// too: a run consumes its pools.

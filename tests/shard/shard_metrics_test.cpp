@@ -1,7 +1,7 @@
-// Token-accounting contract of the sharded engine's mailbox plane: every
-// token pushed (seed, handoff, report) is drained and processed exactly
-// once — `shard.tokens_issued == shard.tokens_consumed` after every batch,
-// at every shard count — and the mailbox-pressure histograms actually
+// Token-accounting contract of the sharded engine's outboxes: every token
+// sent (seed, handoff, report) is delivered and processed exactly once —
+// `shard.tokens_issued == shard.tokens_consumed` after every batch, at
+// every shard count — and the inbox-depth histograms actually
 // observe traffic (a conservation check that silently records nothing
 // would vacuously pass). Pinned across S in {1,2,4,8} for all three walk
 // modes, both through the registry and through last_run_stats().
@@ -45,7 +45,7 @@ void expect_tokens_conserved(const ShardedWalkEngine& engine,
   EXPECT_GT(issued, 0u);
   EXPECT_EQ(issued, consumed);
 
-  // The mailbox-depth histogram observes every per-shard drain (zeros
+  // The mailbox-depth histogram observes every per-shard inbox (zeros
   // included), so a batch that ran any superstep must have populated it.
   const Log2Histogram* depth = find_histogram(snap, "shard.mailbox_depth");
   ASSERT_NE(depth, nullptr);

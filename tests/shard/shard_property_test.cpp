@@ -1,15 +1,17 @@
 // Structural invariants of the sharded graph layer, fuzzed over the
 // estimator graph zoo, both partition policies and a sweep of shard counts:
-// the plan must be a bijection, the shard CSR slices must tile the source
-// adjacency exactly (every directed edge present exactly once, rows
-// verbatim), ghost tables must round-trip, and — through the engine — every
-// token pushed must be drained (issued == retired conservation, or a walk
-// was lost/duplicated in the mail).
+// the plan must give every node exactly one owner, each shard's rows must
+// copy the source adjacency verbatim (every directed edge present exactly
+// once), the cross-shard targets and the segment store's pooled set must be
+// what the plan implies, and — through the engine — every token sent must
+// be delivered (issued == consumed conservation, or a walk was lost or
+// duplicated between outbox and inbox).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "graph/dynamic_graph.hpp"
@@ -47,13 +49,11 @@ TEST_P(ShardProperty, PlanIsABijection) {
       for (std::uint32_t s = 0; s < shards; ++s) {
         const auto owned = plan.nodes_of(s);
         covered += owned.size();
-        for (std::uint32_t l = 0; l < owned.size(); ++l) {
+        for (std::size_t l = 0; l < owned.size(); ++l) {
           const NodeId v = owned[l];
           EXPECT_EQ(plan.shard_of(v), s);
-          EXPECT_EQ(plan.local_id(v), l);
-          EXPECT_EQ(plan.global_id(s, l), v);
           if (l > 0) {
-            EXPECT_LT(owned[l - 1], v);  // local ids ascend
+            EXPECT_LT(owned[l - 1], v);  // owned nodes ascend
           }
         }
       }
@@ -72,21 +72,19 @@ TEST_P(ShardProperty, ShardSlicesTileTheSourceAdjacencyExactly) {
       const ShardedGraph sharded(g, plan);
       std::size_t directed_edges = 0;
       for (std::uint32_t s = 0; s < shards; ++s) {
-        const auto& shard = sharded.shard(s);
-        ASSERT_EQ(shard.offsets.size(), shard.nodes.size() + 1);
-        for (std::uint32_t l = 0; l < shard.nodes.size(); ++l) {
-          const NodeId v = shard.nodes[l];
+        for (const NodeId v : plan.nodes_of(s)) {
+          EXPECT_EQ(sharded.owner(v), s);
           const auto source_row = g.neighbors(v);
-          const auto local_row = shard.neighbors(l);
-          directed_edges += local_row.size();
-          ASSERT_EQ(local_row.size(), source_row.size());
+          const auto row = sharded.neighbors(v);
+          directed_edges += row.size();
+          ASSERT_EQ(row.size(), source_row.size());
           for (std::size_t k = 0; k < source_row.size(); ++k)
-            EXPECT_EQ(local_row[k], source_row[k]);  // verbatim row order
+            EXPECT_EQ(row[k], source_row[k]);  // verbatim row order
         }
       }
-      // Every directed edge of the source appears in exactly one slice:
-      // rows are verbatim and each node has exactly one owner, so matching
-      // the total closes the count.
+      // Every directed edge of the source appears in exactly one shard's
+      // rows: rows are verbatim and each node has exactly one owner, so
+      // matching the total closes the count.
       EXPECT_EQ(directed_edges, sharded.total_degree());
       std::size_t source_total = 0;
       for (NodeId v = 0; v < g.num_nodes(); ++v)
@@ -94,6 +92,18 @@ TEST_P(ShardProperty, ShardSlicesTileTheSourceAdjacencyExactly) {
       EXPECT_EQ(directed_edges, source_total);
     }
   }
+}
+
+/// Owned nodes of some shard with a neighbour owned by another shard: the
+/// nodes a handoff can deliver a walk to, which the segment store pools.
+std::unordered_set<NodeId> expected_pooled(const Graph& g,
+                                           const ShardPlan& plan) {
+  std::unordered_set<NodeId> pooled;
+  for (std::uint32_t s = 0; s < plan.num_shards(); ++s)
+    for (const NodeId v : plan.nodes_of(s))
+      for (const NodeId t : g.neighbors(v))
+        if (plan.shard_of(t) != s) pooled.insert(v);
+  return pooled;
 }
 
 TEST_P(ShardProperty, GhostTablesRoundTripAndCoverExactlyTheCrossEdges) {
@@ -104,44 +114,31 @@ TEST_P(ShardProperty, GhostTablesRoundTripAndCoverExactlyTheCrossEdges) {
       const ShardPlan plan = make_shard_plan(g, shards, *policy);
       const ShardedGraph sharded(g, plan);
       for (std::uint32_t s = 0; s < shards; ++s) {
-        const auto& shard = sharded.shard(s);
-        // Every ghost entry names a non-owned node and round-trips through
-        // the plan's coordinate system.
-        for (const auto& [target, ref] : shard.ghosts) {
-          EXPECT_NE(plan.shard_of(target), s);
-          EXPECT_EQ(ref.shard, plan.shard_of(target));
-          EXPECT_EQ(ref.local, plan.local_id(target));
-          EXPECT_EQ(plan.global_id(ref.shard, ref.local), target);
-        }
-        // Every cross-shard adjacency target has a ghost entry, and the
-        // boundary list holds exactly the owned nodes with one.
+        // Cross-shard targets of shard s: every row entry owned elsewhere
+        // names its owner through the sharded view exactly as through the
+        // plan, and they are exactly the targets of s's cross edges in the
+        // source.
         std::unordered_set<NodeId> crossing_targets;
-        std::unordered_set<NodeId> boundary_nodes;
-        for (std::uint32_t l = 0; l < shard.nodes.size(); ++l) {
-          for (const NodeId t : shard.neighbors(l)) {
-            if (plan.shard_of(t) == s) continue;
-            crossing_targets.insert(t);
-            boundary_nodes.insert(shard.nodes[l]);
-            const GhostRef ref = sharded.resolve(s, t);
-            EXPECT_EQ(plan.global_id(ref.shard, ref.local), t);
+        std::unordered_set<NodeId> seen_targets;
+        for (const NodeId v : plan.nodes_of(s)) {
+          for (const NodeId t : g.neighbors(v))
+            if (plan.shard_of(t) != s) crossing_targets.insert(t);
+          for (const NodeId t : sharded.neighbors(v)) {
+            EXPECT_EQ(sharded.owner(t), plan.shard_of(t));
+            if (sharded.owner(t) != s) seen_targets.insert(t);
           }
         }
-        EXPECT_EQ(shard.ghosts.size(), crossing_targets.size());
-        ASSERT_EQ(shard.boundary.size(), boundary_nodes.size());
-        for (const NodeId b : shard.boundary) {
-          EXPECT_TRUE(boundary_nodes.contains(b));
-          EXPECT_EQ(plan.shard_of(b), s);
-        }
+        EXPECT_EQ(seen_targets, crossing_targets);
       }
-      // resolve() must also work for nodes no edge of `s` points at (the
-      // stitched fast path can land anywhere) via the plan fallback.
-      for (std::uint32_t s = 0; s < shards; ++s) {
-        for (const NodeId v :
-             {NodeId{0}, static_cast<NodeId>(g.num_nodes() - 1)}) {
-          const GhostRef ref = sharded.resolve(s, v);
-          EXPECT_EQ(ref.shard, plan.shard_of(v));
-          EXPECT_EQ(ref.local, plan.local_id(v));
-        }
+      // The pooled set: take() yields a segment at exactly the owned nodes
+      // with a neighbour in another shard.
+      const std::unordered_set<NodeId> pooled = expected_pooled(g, plan);
+      SegmentStore store(sharded, StitchConfig{});
+      WalkSegment seg;
+      for (NodeId v = 0; v < g.num_nodes(); ++v)
+        EXPECT_EQ(store.take(v, seg), pooled.contains(v)) << "node " << v;
+      if (shards == 1) {
+        EXPECT_TRUE(pooled.empty());
       }
     }
   }
@@ -202,38 +199,59 @@ TEST_P(ShardProperty, SegmentsWalkRealEdgesAndRefillOnDemand) {
   const ShardPlan plan = make_shard_plan(g, 4);
   const ShardedGraph sharded(g, plan);
   StitchConfig cfg;
-  cfg.segments_per_node = 2;
   cfg.segment_length = 8;
-  SegmentStore store(sharded, cfg);
+  const std::unordered_set<NodeId> pooled_set = expected_pooled(g, plan);
+  std::vector<NodeId> pooled(pooled_set.begin(), pooled_set.end());
+  std::sort(pooled.begin(), pooled.end());
+  ASSERT_FALSE(pooled.empty());
 
-  std::size_t boundary_total = 0;
-  for (std::uint32_t s = 0; s < sharded.num_shards(); ++s)
-    boundary_total += sharded.shard(s).boundary.size();
-  EXPECT_EQ(store.pooled_nodes(), boundary_total);
+  // Two stores with the same seed, drained in two interleavings: all six
+  // segments of one node before the next (node-major), and one segment per
+  // node per pass (round-robin). A segment is walked when it is taken, from
+  // its node's own stream, so the k-th segment taken at v must not depend
+  // on what was taken at other nodes in between.
+  constexpr std::size_t kTakes = 6;
+  using Segments = std::vector<std::pair<std::vector<NodeId>,
+                                         std::vector<double>>>;
+  std::vector<Segments> node_major(pooled.size());
+  std::vector<Segments> round_robin(pooled.size());
+  SegmentStore first(sharded, cfg);
+  SegmentStore second(sharded, cfg);
+  WalkSegment seg;
+  for (std::size_t i = 0; i < pooled.size(); ++i)
+    for (std::size_t k = 0; k < kTakes; ++k) {
+      ASSERT_TRUE(first.take(pooled[i], seg));
+      node_major[i].emplace_back(seg.nodes, seg.sojourns);
+    }
+  for (std::size_t k = 0; k < kTakes; ++k)
+    for (std::size_t i = 0; i < pooled.size(); ++i) {
+      ASSERT_TRUE(second.take(pooled[i], seg));
+      round_robin[i].emplace_back(seg.nodes, seg.sojourns);
+    }
 
-  for (std::uint32_t s = 0; s < sharded.num_shards(); ++s) {
-    for (const NodeId b : sharded.shard(s).boundary) {
-      // Draw past the precomputed pool: refill must keep producing valid
-      // segments, each a real walk on the snapshot topology.
-      for (std::size_t draw = 0; draw < cfg.segments_per_node + 3; ++draw) {
-        const WalkSegment* seg = store.take(b);
-        ASSERT_NE(seg, nullptr);
-        ASSERT_EQ(seg->nodes.size(), cfg.segment_length + 1);
-        ASSERT_EQ(seg->sojourns.size(), cfg.segment_length);
-        EXPECT_EQ(seg->nodes.front(), b);
-        for (std::size_t k = 0; k + 1 < seg->nodes.size(); ++k) {
-          const auto row = g.neighbors(seg->nodes[k]);
-          EXPECT_TRUE(std::find(row.begin(), row.end(), seg->nodes[k + 1]) !=
-                      row.end())
-              << "segment step " << k << " is not an edge";
-          EXPECT_GT(seg->sojourns[k], 0.0);
-        }
+  // take() yields a segment at exactly the pooled nodes.
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    EXPECT_EQ(first.take(v, seg), pooled_set.contains(v)) << "node " << v;
+
+  for (std::size_t i = 0; i < pooled.size(); ++i) {
+    const NodeId b = pooled[i];
+    EXPECT_EQ(node_major[i], round_robin[i]) << "node " << b;  // bitwise
+    for (const auto& [nodes, sojourns] : node_major[i]) {
+      // Each segment is a real walk on the snapshot topology.
+      ASSERT_EQ(nodes.size(), cfg.segment_length + 1);
+      ASSERT_EQ(sojourns.size(), cfg.segment_length);
+      EXPECT_EQ(nodes.front(), b);
+      for (std::size_t k = 0; k + 1 < nodes.size(); ++k) {
+        const auto row = g.neighbors(nodes[k]);
+        EXPECT_TRUE(std::find(row.begin(), row.end(), nodes[k + 1]) !=
+                    row.end())
+            << "segment step " << k << " is not an edge";
+        EXPECT_GT(sojourns[k], 0.0);
       }
     }
+    // Successive takes draw fresh randomness from the node's stream.
+    EXPECT_NE(node_major[i][0], node_major[i][1]) << "node " << b;
   }
-  EXPECT_GE(store.segments_generated(),
-            static_cast<std::uint64_t>(boundary_total) *
-                cfg.segments_per_node);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -258,21 +276,20 @@ TEST(ShardPropertyDynamic, ChurnedDynamicGraphTilesExactlyOverSlots) {
     EXPECT_EQ(sharded.source_version(), dg.version());
     std::size_t directed_edges = 0;
     for (std::uint32_t s = 0; s < shards; ++s) {
-      const auto& shard = sharded.shard(s);
-      for (std::uint32_t l = 0; l < shard.nodes.size(); ++l) {
-        const NodeId v = shard.nodes[l];
+      for (const NodeId v : plan.nodes_of(s)) {
         const auto source_row = dg.neighbors(v);
-        const auto local_row = shard.neighbors(l);
-        directed_edges += local_row.size();
-        ASSERT_EQ(local_row.size(), source_row.size());
+        const auto row = sharded.neighbors(v);
+        directed_edges += row.size();
+        ASSERT_EQ(row.size(), source_row.size());
         if (!dg.alive(v)) {
-          EXPECT_TRUE(local_row.empty());
+          EXPECT_TRUE(row.empty());
         }
         for (std::size_t k = 0; k < source_row.size(); ++k)
-          EXPECT_EQ(local_row[k], source_row[k]);
+          EXPECT_EQ(row[k], source_row[k]);
       }
     }
     EXPECT_EQ(directed_edges, dg.total_degree());
+    EXPECT_EQ(directed_edges, sharded.total_degree());
   }
 }
 

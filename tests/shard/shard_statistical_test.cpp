@@ -1,5 +1,5 @@
-// Distributional tests for STITCHED sharded walks. Splicing precomputed
-// segments changes which Rng stream supplies each draw (per-node segment
+// Distributional tests for STITCHED sharded walks. Splicing walk segments
+// changes which Rng stream supplies each draw (per-node segment
 // streams instead of the walk's own), so stitched runs are not bit-identical
 // to the scalar path — the correctness claim is instead that the walk LAW is
 // untouched: uniform neighbour choice and Exp(d_v) sojourns, per degree
