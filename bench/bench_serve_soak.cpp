@@ -1,6 +1,6 @@
 // Million-request soak of the multi-tenant socket front end: closed-loop
 // then open-loop load over real loopback connections against an
-// EstimateNetServer (replicated broker shards + token-bucket/DRR
+// EstimateNetServer (one broker with two batch loops + token-bucket/DRR
 // admission), with DynamicGraph churn running concurrently the whole time.
 //
 // Scale knobs (on top of the usual OVERCOUNT_N/SEED/FAST/THREADS/JSON):
@@ -144,14 +144,14 @@ int main() {
 
   // Per-tenant cost attribution rides the whole soak: every request names
   // its tenant, so the ledger folds into per-class and per-tenant rollups
-  // below. Declared before the server so it outlives the shards.
+  // below. Declared before the server so it outlives the broker.
   CostLedger ledger;
   ledger.install();
 
   MetricsRegistry registry;
   net::NetServerConfig server_config;
   server_config.acceptors = conns;
-  server_config.shards = 2;
+  server_config.shards = 2;  // batch loops sharing one queue and cache
   server_config.classes = soak_classes();
   server_config.metrics = &registry;
   server_config.service.threads = worker_threads();
@@ -169,11 +169,11 @@ int main() {
   net::EstimateNetServer server(dynamic_graph_source(graph, graph_mutex),
                                 server_config);
 
-  // Every version bump re-dirties every cached key on every shard, and a
-  // miss batch is hundreds of ms of walk work at full overlay size on one
-  // core — the cadence keeps recompute below saturation while still
-  // exercising invalidation continuously. EDF inside each shard serves the
-  // deadline classes' recomputes first, which is what keeps their hit-rate
+  // Every version bump re-dirties every cached key, and a miss batch is
+  // hundreds of ms of walk work at full overlay size on one core — the
+  // cadence keeps recompute below saturation while still exercising
+  // invalidation continuously. The broker's EDF queue serves the deadline
+  // classes' recomputes first, which is what keeps their hit-rate
   // gates honest even when a bump lands mid-run.
   const std::uint64_t churn_ms = env_u64("OVERCOUNT_SOAK_CHURN_MS", 1000);
   std::atomic<bool> churning{churn_ms != 0};
@@ -377,7 +377,7 @@ int main() {
   churning.store(false, std::memory_order_relaxed);
   churn.join();
   server.stop();
-  ledger.uninstall();  // shards joined: the ledger is quiesced, fold away
+  ledger.uninstall();  // broker joined: the ledger is quiesced, fold away
 
   // ---- Aggregate.
   const std::vector<net::SloClassSpec> classes = soak_classes();
@@ -606,11 +606,11 @@ int main() {
                              0)
             << " rps)\n";
 
-  // Reconciliation: every walk step the shards spent must be attributed
+  // Reconciliation: every walk step the broker spent must be attributed
   // (same contract estimate_server pins).
   if (static_cast<double>(cost_totals.steps()) != steps) {
     std::cerr << "error: cost ledger holds " << cost_totals.steps()
-              << " steps but the shards spent " << steps << "\n";
+              << " steps but the broker spent " << steps << "\n";
     return 1;
   }
   if (ledger.unattributed().steps() != 0) {

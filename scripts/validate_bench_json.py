@@ -23,7 +23,9 @@ containing `latency`, e.g. the serve layer's request-latency percentiles)
 are lower-is-better: they fail only when the current value rises more
 than the tolerance above baseline. All other matched counters fail when
 they deviate from baseline by more than the tolerance in either
-direction. Counters matched by --counters that the CURRENT artifact adds
+direction. At `--tolerance 0` every matched counter must equal its
+baseline exactly, so a one-sided counter that moves the "better" way
+fails too (the exact shard message-cost diff relies on this). Counters matched by --counters that the CURRENT artifact adds
 but the baseline lacks are printed as informational `new` lines and never
 fail the diff, so a bench can grow instrumentation without forcing a
 baseline refresh. The diff fails outright, even with --warn-only, when
@@ -258,7 +260,11 @@ def diff_against_baseline(files, baseline_path, counter_re, tolerance):
                               f"now {cur:.6g}")
             continue
         rel = (cur - base) / abs(base)
-        if higher_is_better(key):
+        if tolerance == 0:
+            # An exact diff pins the value: a move either way is drift,
+            # whichever direction would count as better.
+            ok = cur == base
+        elif higher_is_better(key):
             ok = rel >= -tolerance  # only a drop is a regression
         elif lower_is_better(key):
             ok = rel <= tolerance  # only a rise is a regression
@@ -268,8 +274,9 @@ def diff_against_baseline(files, baseline_path, counter_re, tolerance):
         print(f"{marker} {key}: baseline={base:.6g} current={cur:.6g} "
               f"({rel:+.1%})")
         if not ok:
+            verb = "moved" if tolerance == 0 else "regressed"
             errors.append(
-                f"baseline diff: '{key}' regressed {rel:+.1%} "
+                f"baseline diff: '{key}' {verb} {rel:+.1%} "
                 f"(tolerance {tolerance:.0%}): baseline={base:.6g}, "
                 f"current={cur:.6g}")
 

@@ -48,8 +48,8 @@ enum class FrameType : std::uint8_t {
 enum class RejectReason : std::uint8_t {
   kUnknownTenant = 1,  ///< request named a tenant id never issued by Hello.
   kRateLimited = 2,    ///< token bucket empty for this tenant.
-  kFairShare = 3,      ///< DRR deficit exhausted while the shard is saturated.
-  kQueueFull = 4,      ///< broker shard shed the request (EDF queue full).
+  kFairShare = 3,      ///< DRR deficit exhausted while the broker is saturated.
+  kQueueFull = 4,      ///< the broker shed the request (EDF queue full).
   kShuttingDown = 5,   ///< server is stopping.
   kBadRequest = 6,     ///< request failed validation (epsilon/delta/kind).
 };

@@ -15,6 +15,8 @@ namespace {
 constexpr int kAcceptPollMs = 100;
 constexpr int kRecvPollMs = 100;
 constexpr int kTransientBackoffMs = 10;
+/// DRR fair share bites once the broker queue is this full.
+constexpr double kSaturationFraction = 0.75;
 
 }  // namespace
 
@@ -86,11 +88,11 @@ EstimateNetServer::EstimateNetServer(GraphSource source,
   }
   port_ = bound_port(listen_fd_);
 
-  ServiceConfig shard_config = config_.service;
-  shard_config.metrics = metrics_;  // all shards merge into one registry.
-  for (unsigned i = 0; i < config_.shards; ++i) {
-    shards_.push_back(std::make_unique<EstimateService>(source, shard_config));
-  }
+  ServiceConfig service_config = config_.service;
+  service_config.metrics = metrics_;
+  service_config.batch_loops = config_.shards;
+  service_ = std::make_unique<EstimateService>(std::move(source),
+                                               std::move(service_config));
 
   acceptors_.reserve(config_.acceptors);
   for (unsigned i = 0; i < config_.acceptors; ++i) {
@@ -120,9 +122,9 @@ void EstimateNetServer::stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  // Shards stop AFTER the handlers drained their in-flight futures, so
-  // every admitted request still resolves normally during shutdown.
-  for (auto& s : shards_) s->stop();
+  // The broker stops AFTER the handlers drained their in-flight futures,
+  // so every admitted request still resolves normally during shutdown.
+  service_->stop();
 }
 
 void EstimateNetServer::accept_loop() {
@@ -207,7 +209,7 @@ void EstimateNetServer::handle_connection(int fd) {
     }
   }
   // Drain whatever is still in flight so admitted requests get answers
-  // even on shutdown (shards are stopped only after handlers exit).
+  // even on shutdown (the broker is stopped only after handlers exit).
   while (!inflight.empty()) {
     if (!write_reply(fd, inflight.front())) break;
     inflight.pop_front();
@@ -298,17 +300,13 @@ bool EstimateNetServer::handle_request(int fd, const Frame& frame,
     }
   }
 
-  // Round-robin shard choice first: saturation (and thus fair share) is
-  // judged against the queue the request would actually land on.
-  EstimateService& shard =
-      *shards_[next_shard_.fetch_add(1, std::memory_order_relaxed) %
-               shards_.size()];
   const bool saturated =
-      shard.queue_depth() >=
-      static_cast<std::size_t>(config_.saturation_fraction *
-                               static_cast<double>(shard.queue_capacity()));
+      service_->queue_depth() >=
+      static_cast<std::size_t>(kSaturationFraction *
+                               static_cast<double>(service_->queue_capacity()));
+  const std::uint64_t admitted_us = now_us();
   const AdmitDecision decision =
-      tenants_.admit(msg->tenant_id, now_us(), saturated);
+      tenants_.admit(msg->tenant_id, admitted_us, saturated);
   switch (decision.result) {
     case AdmitResult::kAdmit:
       break;
@@ -333,24 +331,24 @@ bool EstimateNetServer::handle_request(int fd, const Frame& frame,
   std::uint64_t deadline_rel = spec->deadline_us;
   if ((msg->flags & kReqHasDeadline) != 0) deadline_rel = msg->deadline_rel_us;
   // Deadlines travel relative on the wire and become absolute on the
-  // clock of the shard that will enforce them.
+  // clock of the broker that will enforce them.
   req.deadline_us =
-      deadline_rel == 0 ? kNoDeadline : shard.now_us() + deadline_rel;
+      deadline_rel == 0 ? kNoDeadline : service_->now_us() + deadline_rel;
 
   PendingReply pending;
   pending.request_id = msg->request_id;
   // spec_for points into the class table, so the offset is the class id.
   pending.cls = static_cast<std::size_t>(spec - tenants_.classes().data());
-  pending.t0_us = now_us();
-  pending.future = shard.submit(req);
+  pending.t0_us = admitted_us;
+  pending.future = service_->submit(req);
   inflight.push_back(std::move(pending));
   return true;
 }
 
 bool EstimateNetServer::write_reply(int fd, PendingReply& pending) {
   const EstimateResponse resp = pending.future.get();
-  const std::uint64_t latency =
-      now_us() > pending.t0_us ? now_us() - pending.t0_us : 0;
+  const std::uint64_t now = now_us();
+  const std::uint64_t latency = now > pending.t0_us ? now - pending.t0_us : 0;
   slo_.record(tenants_.classes()[pending.cls].name, slo_outcome(resp.status),
               latency);
   if (resp.status == ServeStatus::kRejected) {

@@ -1,11 +1,11 @@
 // EstimateNetServer: the multi-tenant socket front end that promotes
 // EstimateService to a real network service.
 //
-//   client ──TCP──▶ acceptor pool ──▶ admission ──▶ shard pool (round robin)
-//                    (N threads,       (tenant        (replicated
-//                     frame codec)      registry:      EstimateService
-//                                       token bucket   brokers, each with
-//                                       + DRR)         its own EDF queue)
+//   client ──TCP──▶ acceptor pool ──▶ admission ──▶ one EstimateService
+//                    (N threads,       (tenant        (one EDF queue, cache
+//                     frame codec)      registry:      and single-flight
+//                                       token bucket   table, popped by
+//                                       + DRR)         `shards` batch loops)
 //
 // Shape:
 //  * `acceptors` threads each accept one connection at a time and serve it
@@ -15,18 +15,20 @@
 //    pipeline up to `max_inflight_per_conn` requests; responses are
 //    written back in request order (FIFO per connection).
 //  * admission: Hello binds a tenant to an SLO class; every request then
-//    passes the tenant's token bucket and — while the chosen shard's EDF
-//    queue is near capacity — the DRR fair-share layer (net/tenant.hpp).
-//    Refusals are kReject frames carrying retry_after_us, including the
-//    broker's own load-shed rejections (the shard's queue-depth-derived
-//    hint is forwarded onto the wire).
-//  * `shards` replicated EstimateService brokers behind a round-robin
-//    counter. All shards share one MetricsRegistry (counters merge by
-//    name) and the same master seed. Determinism contract: with one
-//    shard, one connection and sequential requests, responses are
-//    bit-identical to in-process EstimateService calls with the same
-//    (seed, graph, submission order) — the socket adds transport, not
-//    arithmetic (tests/net/net_identity_test.cpp pins this).
+//    passes the tenant's token bucket and — while the broker's EDF queue
+//    is at 3/4 of its capacity or more — the DRR fair-share layer
+//    (net/tenant.hpp). Refusals are kReject frames carrying
+//    retry_after_us, including the broker's own load-shed rejections (its
+//    queue-depth-derived hint is forwarded onto the wire).
+//  * ONE EstimateService broker: every connection shares its cache and
+//    single-flight table, so a cold key is not walked once per replica.
+//    `shards` sets its batch loops (ServiceConfig::batch_loops): that many
+//    batches walk at once, each on its own runner of service.threads
+//    workers. Determinism contract: with one batch loop (shards = 1), one
+//    connection and sequential requests, responses are bit-identical to
+//    in-process EstimateService calls with the same (seed, graph,
+//    submission order) — the socket adds transport, not arithmetic
+//    (tests/net/net_identity_test.cpp pins this).
 //
 // Observability: the net.* metric family (connections, frames, bytes,
 // rejects by reason), TraceSpans under the "net" category, a server-side
@@ -56,32 +58,29 @@ namespace overcount::net {
 struct NetServerConfig {
   std::uint16_t port = 0;  ///< 0 = kernel-assigned; read back via port().
   unsigned acceptors = 4;  ///< concurrent connections served.
-  unsigned shards = 2;     ///< replicated broker shards.
+  unsigned shards = 2;     ///< batch loops of the one broker.
   std::size_t max_inflight_per_conn = 64;  ///< pipelining window.
 
   /// SLO classes tenants may Hello into; empty = default_slo_classes().
   std::vector<SloClassSpec> classes;
   DrrConfig drr;
-  /// DRR bites when the chosen shard's queue depth reaches this fraction
-  /// of its capacity.
-  double saturation_fraction = 0.75;
 
   /// Server-side per-class deadline objective (SloLedger keyed by class
-  /// name, on top of each shard's own per-(kind,method) ledger).
+  /// name, on top of the broker's own per-(kind,method) ledger).
   SloPolicy slo;
 
-  /// Registry for net.* and every shard's serve.*; null = owned.
+  /// Registry for net.* and the broker's serve.*; null = owned.
   MetricsRegistry* metrics = nullptr;
 
-  /// Template for every shard (seed, cache, budget, clock...). `metrics`
-  /// inside is overridden to the shared registry.
+  /// The broker's config (seed, cache, budget, clock...). `metrics` and
+  /// `batch_loops` inside are overridden by the fields above.
   ServiceConfig service;
 };
 
 class EstimateNetServer {
  public:
-  /// Binds, spawns shards and acceptors. Throws std::runtime_error if the
-  /// listener cannot be created.
+  /// Binds, starts the broker and spawns acceptors. Throws
+  /// std::runtime_error if the listener cannot be created.
   EstimateNetServer(GraphSource source, NetServerConfig config = {});
   ~EstimateNetServer();
 
@@ -92,14 +91,13 @@ class EstimateNetServer {
   MetricsRegistry& metrics() noexcept { return *metrics_; }
   const SloLedger& slo() const noexcept { return slo_; }
   TenantRegistry& tenants() noexcept { return tenants_; }
-  std::size_t shard_count() const noexcept { return shards_.size(); }
-  EstimateService& shard(std::size_t i) noexcept { return *shards_[i]; }
+  EstimateService& service() noexcept { return *service_; }
 
   /// Microseconds on the admission clock (config.service.now_us, or steady
   /// time since construction).
   std::uint64_t now_us() const;
 
-  /// Stops accepting, drains in-flight requests, stops the shards.
+  /// Stops accepting, drains in-flight requests, stops the broker.
   /// Idempotent; called by the destructor.
   void stop();
 
@@ -131,8 +129,7 @@ class EstimateNetServer {
   std::unique_ptr<Metrics> m_;
   TenantRegistry tenants_;
   SloLedger slo_;
-  std::vector<std::unique_ptr<EstimateService>> shards_;
-  std::atomic<std::size_t> next_shard_{0};
+  std::unique_ptr<EstimateService> service_;
   std::chrono::steady_clock::time_point epoch_;
 
   int listen_fd_ = -1;

@@ -9,7 +9,7 @@
 //   2. token bucket  — per-tenant average-rate + burst cap. Refusals carry
 //      the exact retry_after_us until the next token matures.
 //   3. deficit round robin — a fair-share layer that only bites while the
-//      broker shard behind the connection is saturated. Each tenant earns
+//      server's broker queue is saturated. Each tenant earns
 //      `quantum` request credits per `round_us`; a flooding tenant exhausts
 //      its deficit and is deferred to its next round while polite tenants'
 //      credits keep them admitted. Under light load the deficit is still

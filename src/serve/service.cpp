@@ -110,7 +110,6 @@ EstimateService::EstimateService(GraphSource source, ServiceConfig config)
                                           : owned_metrics_.get()),
       m_(std::make_unique<Metrics>(*metrics_)),
       slo_(metrics_, nullptr, config_.slo),
-      runner_(config_.threads),
       planner_(config_.budget),
       queue_(config_.queue_capacity),
       epoch_(std::chrono::steady_clock::now()),
@@ -120,9 +119,19 @@ EstimateService::EstimateService(GraphSource source, ServiceConfig config)
   OVERCOUNT_EXPECTS(source_.version != nullptr);
   OVERCOUNT_EXPECTS(config_.refresh_at_fraction > 0.0 &&
                     config_.refresh_at_fraction <= 1.0);
-  broker_ = std::thread([this] { broker_loop(); });
-  if (config_.refresh_period_us > 0)
-    refresher_ = std::thread([this] { refresher_loop(); });
+  OVERCOUNT_EXPECTS(config_.batch_loops > 0);
+  try {
+    for (unsigned i = 0; i < config_.batch_loops; ++i) {
+      runners_.push_back(std::make_unique<ParallelRunner>(config_.threads));
+      brokers_.emplace_back(
+          [this, &runner = *runners_.back()] { broker_loop(runner); });
+    }
+    if (config_.refresh_period_us > 0)
+      refresher_ = std::thread([this] { refresher_loop(); });
+  } catch (...) {
+    stop();  // join the loops that did start before the members go
+    throw;
+  }
 }
 
 EstimateService::~EstimateService() { stop(); }
@@ -176,32 +185,22 @@ std::string EstimateService::slo_class(const EstimateRequest& request) {
   return cls;
 }
 
-std::uint32_t EstimateService::cost_open(const EstimateRequest& request) {
-  if (cost_active()) {
-    CostLedger* ledger = CostLedger::active();
-    if (ledger != nullptr) {
-      if (config_.cost_aggregate_contexts) {
-        return cost_open_aggregate(request.tenant, request.kind,
-                                   request.method, slo_class(request));
-      }
-      QueryContext qc;
-      qc.tenant = request.tenant;
-      qc.query_id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
-      qc.kind = to_string(request.kind);
-      qc.method = to_string(request.method);
-      qc.slo_class = slo_class(request);
-      return ledger->open(std::move(qc));
-    }
-  }
-  return 0;
-}
-
-std::uint32_t EstimateService::cost_open_aggregate(const std::string& tenant,
-                                                   QueryKind kind,
-                                                   EstimateMethod method,
-                                                   const std::string& cls) {
+std::uint32_t EstimateService::cost_open(const std::string& tenant,
+                                         QueryKind kind,
+                                         EstimateMethod method,
+                                         const std::string& cls) {
   CostLedger* ledger = CostLedger::active();
   if (ledger == nullptr) return 0;
+  auto open = [&] {
+    QueryContext qc;
+    qc.tenant = tenant;
+    qc.query_id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
+    qc.kind = to_string(kind);
+    qc.method = to_string(method);
+    qc.slo_class = cls;
+    return ledger->open(std::move(qc));
+  };
+  if (!config_.cost_aggregate_contexts) return open();
   // The table is bounded by tenants x classes x shapes regardless of
   // request volume (kind/method ride along for callers like the refresher
   // whose cls does not already encode them).
@@ -214,13 +213,7 @@ std::uint32_t EstimateService::cost_open_aggregate(const std::string& tenant,
   std::lock_guard<std::mutex> lock(cost_agg_mutex_);
   const auto it = cost_agg_.find(key);
   if (it != cost_agg_.end()) return it->second;
-  QueryContext qc;
-  qc.tenant = tenant;
-  qc.query_id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
-  qc.kind = to_string(kind);
-  qc.method = to_string(method);
-  qc.slo_class = cls;
-  const std::uint32_t ctx = ledger->open(std::move(qc));
+  const std::uint32_t ctx = open();
   cost_agg_.emplace(std::move(key), ctx);
   return ctx;
 }
@@ -278,7 +271,10 @@ std::future<EstimateResponse> EstimateService::submit(
 
   // One ledger context per admitted query: every charge this request
   // causes anywhere below lands on this id.
-  const std::uint32_t ctx = cost_open(request);
+  const std::uint32_t ctx =
+      cost_active() ? cost_open(request.tenant, request.kind, request.method,
+                                slo_class(request))
+                    : 0;
 
   std::unique_lock lock(mutex_);
   if (stopping_) {
@@ -404,23 +400,24 @@ std::future<EstimateResponse> EstimateService::submit(
   return future;
 }
 
-void EstimateService::broker_loop() {
-  while (auto item = queue_.pop_earliest()) process_batch(*item);
+void EstimateService::broker_loop(ParallelRunner& runner) {
+  while (auto item = queue_.pop_earliest()) process_batch(*item, runner);
 }
 
-void EstimateService::process_batch(const BatchPtr& batch) {
+void EstimateService::process_batch(const BatchPtr& batch,
+                                     ParallelRunner& runner) {
   {
     // Detach from the single-flight map FIRST: from here on, identical
     // requests start a fresh batch instead of riding one mid-run. After
-    // this critical section the batch is unreachable from submit(), so the
-    // broker owns its waiters without further locking.
+    // this critical section the batch is unreachable from submit(), so this
+    // loop owns its waiters without further locking.
     std::lock_guard lock(mutex_);
     const CoalesceKey ckey{batch->key.kind, batch->key.method, batch->epsilon,
                            batch->delta};
     auto it = pending_.find(ckey);
     if (it != pending_.end() && it->second == batch) pending_.erase(it);
   }
-  run_and_deliver(batch);
+  run_and_deliver(batch, runner);
   {
     std::lock_guard lock(mutex_);
     release_steps_locked(batch);
@@ -428,7 +425,8 @@ void EstimateService::process_batch(const BatchPtr& batch) {
   }
 }
 
-void EstimateService::run_and_deliver(const BatchPtr& batch) {
+void EstimateService::run_and_deliver(const BatchPtr& batch,
+                                      ParallelRunner& runner) {
   TraceSpan batch_span("serve", "serve.batch", "waiters",
                        batch->waiters.size());
   const std::uint64_t dispatch_now = now_us();
@@ -549,10 +547,14 @@ void EstimateService::run_and_deliver(const BatchPtr& batch) {
                             config_.sc_ell, timer);
   }
 
-  // Dispatch-order seed draw on the (single) broker thread: the i-th batch
-  // of a run always gets the i-th seed, so a fixed submission order replays
+  // Dispatch-order seed draw: with one batch loop the i-th batch of a run
+  // always gets the i-th seed, so a fixed submission order replays
   // bit-identically.
-  const std::uint64_t seed = batch_seed_rng_.next();
+  std::uint64_t seed = 0;
+  {
+    std::lock_guard lock(mutex_);
+    seed = batch_seed_rng_.next();
+  }
 
   const std::uint64_t t0 = now_us();
   double value = std::numeric_limits<double>::quiet_NaN();
@@ -569,19 +571,19 @@ void EstimateService::run_and_deliver(const BatchPtr& batch) {
       TourBatch tours =
           batch->key.kind == QueryKind::kSize
               ? run_tours_size(snap.graph, snap.origin, plan.walks, seed,
-                               runner_, config_.max_tour_steps)
+                               runner, config_.max_tour_steps)
               : run_tours(
                     snap.graph, snap.origin, plan.walks,
                     [&g = snap.graph](NodeId v) {
                       return static_cast<double>(g.degree(v));
                     },
-                    seed, runner_, config_.max_tour_steps);
+                    seed, runner, config_.max_tour_steps);
       ok = tours.ok();
       value = tours.mean();
       steps = tours.total_steps;
     } else {
       ScBatch trials = run_sc_trials(snap.graph, snap.origin, plan.walks,
-                                     timer, config_.sc_ell, seed, runner_);
+                                     timer, config_.sc_ell, seed, runner);
       ok = trials.ok();
       value = trials.mean_simple();
       steps = trials.total_hops;
@@ -690,26 +692,9 @@ std::size_t EstimateService::refresh_once() {
     batch->epsilon = entry.epsilon;
     batch->delta = entry.delta;
     batch->refresh_only = true;
-    if (cost_active()) {
-      // Refresh walks have no requesting tenant; they bill to a system
-      // context so the ledger still reconciles to zero residue.
-      CostLedger* ledger = CostLedger::active();
-      if (ledger != nullptr) {
-        if (config_.cost_aggregate_contexts) {
-          batch->cost_ctx = cost_open_aggregate("(refresh)", key.kind,
-                                                key.method, "refresh");
-        } else {
-          QueryContext qc;
-          qc.tenant = "(refresh)";
-          qc.query_id =
-              next_query_id_.fetch_add(1, std::memory_order_relaxed);
-          qc.kind = to_string(key.kind);
-          qc.method = to_string(key.method);
-          qc.slo_class = "refresh";
-          batch->cost_ctx = ledger->open(std::move(qc));
-        }
-      }
-    }
+    // Refresh walks have no requesting tenant; they bill to a system
+    // context so the ledger still reconciles to zero residue.
+    batch->cost_ctx = cost_open("(refresh)", key.kind, key.method, "refresh");
     const std::uint64_t seq = next_seq_++;
     if (!queue_.try_push(batch, kNoDeadline, seq)) {
       m_->refresh_skipped.inc();
@@ -744,7 +729,8 @@ void EstimateService::stop() {
   refresher_cv_.notify_all();
   queue_.close();
   if (refresher_.joinable()) refresher_.join();
-  if (broker_.joinable()) broker_.join();
+  for (auto& broker : brokers_)
+    if (broker.joinable()) broker.join();
   for (auto& batch : queue_.drain()) {
     for (auto& w : batch->waiters) {
       m_->failures.inc();

@@ -2,9 +2,9 @@
 // Hello/Welcome registration, request/response, every admission refusal as
 // a kReject frame carrying retry_after_us (token bucket, unknown tenant,
 // bad request, and the broker's own queue-full shed forwarded onto the
-// wire), tenant multiplexing on one connection, pipelining, ping, and
-// protocol-error handling (garbage gets a kError frame, then the
-// connection closes).
+// wire), tenant multiplexing on one connection, pipelining, single-flight
+// coalescing across the server's batch loops, ping, and protocol-error
+// handling (garbage gets a kError frame, then the connection closes).
 #include "net/server.hpp"
 
 #include <gtest/gtest.h>
@@ -87,7 +87,7 @@ TEST(NetServer, HelloRequestResponse) {
   EXPECT_NEAR(result->response.value, 16.0, 16.0 * 0.4);
   EXPECT_GT(result->response.walks, 0u);
 
-  // Identical repeat: served from the shard's cache.
+  // Identical repeat: served from the broker's cache.
   auto repeat = client.request(size_request(2, welcome->tenant_id));
   ASSERT_TRUE(repeat.has_value());
   ASSERT_FALSE(repeat->rejected);
@@ -187,7 +187,7 @@ TEST(NetServer, BrokerShedIsForwardedAsQueueFullReject) {
 
   // Freeze the broker so the EDF queue genuinely fills, then pipeline
   // more distinct uncacheable requests than it can hold.
-  server.shard(0).set_paused(true);
+  server.service().set_paused(true);
   constexpr int kBurst = 8;
   for (int i = 0; i < kBurst; ++i) {
     RequestMsg req = size_request(static_cast<std::uint64_t>(100 + i),
@@ -196,7 +196,7 @@ TEST(NetServer, BrokerShedIsForwardedAsQueueFullReject) {
     req.flags = kReqExplicitTarget;  // allow_cached off: no coalescing
     ASSERT_TRUE(client.send_request(req));
   }
-  server.shard(0).set_paused(false);
+  server.service().set_paused(false);
 
   int oks = 0;
   int queue_full = 0;
@@ -221,6 +221,54 @@ TEST(NetServer, BrokerShedIsForwardedAsQueueFullReject) {
   const MetricsSnapshot snap = server.metrics().snapshot();
   EXPECT_EQ(counter_value(snap, "net.rejects.queue_full"),
             static_cast<std::uint64_t>(queue_full));
+}
+
+// Batch loops share one broker: two identical cache-allowed requests
+// queued behind the paused broker ride ONE batch, whichever loop runs it.
+TEST(NetServer, IdenticalRequestsCoalesceAcrossBatchLoops) {
+  const Graph g = complete(16);
+  NetServerConfig config = base_config();
+  config.shards = 2;
+  EstimateNetServer server(static_graph_source(g), config);
+  NetClient client;
+  ASSERT_TRUE(client.connect(server.port()));
+  auto welcome = client.hello("herd", 0);
+  ASSERT_TRUE(welcome.has_value());
+
+  const std::uint64_t batches0 =
+      counter_value(server.metrics().snapshot(), "serve.batches");
+  server.service().set_paused(true);
+  ASSERT_TRUE(client.send_request(size_request(1, welcome->tenant_id)));
+  ASSERT_TRUE(client.send_request(size_request(2, welcome->tenant_id)));
+  // A miss is counted in the same critical section that decides whether
+  // the request rides a pending batch, so two misses mean both requests
+  // are queued or attached before the broker may pop anything.
+  for (int i = 0; i < 3000 && counter_value(server.metrics().snapshot(),
+                                            "serve.cache_misses") < 2;
+       ++i) {
+    ::usleep(1000);
+  }
+  ASSERT_EQ(counter_value(server.metrics().snapshot(), "serve.cache_misses"),
+            2u);
+  server.service().set_paused(false);
+
+  std::vector<ResponseMsg> replies;
+  for (int i = 0; i < 2; ++i) {
+    auto frame = client.read_frame(30'000);
+    ASSERT_TRUE(frame.has_value()) << "reply " << i;
+    ASSERT_EQ(frame->type(), FrameType::kResponse);
+    auto resp = decode_response(*frame);
+    ASSERT_TRUE(resp.has_value());
+    replies.push_back(*resp);
+  }
+  // Replies are FIFO per connection.
+  EXPECT_EQ(replies[0].request_id, 1u);
+  EXPECT_EQ(replies[1].request_id, 2u);
+  EXPECT_EQ(replies[0].flags & kRespCoalesced, 0);
+  EXPECT_NE(replies[1].flags & kRespCoalesced, 0);
+  EXPECT_EQ(replies[1].value, replies[0].value);
+  EXPECT_EQ(counter_value(server.metrics().snapshot(), "serve.batches"),
+            batches0 + 1);
 }
 
 TEST(NetServer, MultiplexesTenantsOnOneConnection) {

@@ -5,7 +5,8 @@
 //      queueing unboundedly;
 //  (d) a DynamicGraph version() bump invalidates cached entries;
 // plus deadline handling, request validation, determinism across runner
-// thread counts, and clean shutdown semantics.
+// thread counts, several batch loops sharing one queue, and clean shutdown
+// semantics.
 #include "serve/service.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "graph/dynamic_graph.hpp"
@@ -256,6 +258,37 @@ TEST(EstimateService, ResponsesAreIdenticalAcrossRunnerThreadCounts) {
   ASSERT_EQ(single.size(), quad.size());
   for (std::size_t i = 0; i < single.size(); ++i)
     EXPECT_EQ(single[i], quad[i]) << "query " << i;  // bit-for-bit
+}
+
+// Two batch loops pop the one queue concurrently: every distinct
+// cache-bypassing request from every submitting thread runs as its own
+// batch and resolves kOk.
+TEST(EstimateService, BatchLoopsDrainOneQueueConcurrently) {
+  const Graph g = complete(16);
+  TestClock clock;
+  ServiceConfig config = fast_config(clock);
+  config.batch_loops = 2;
+  config.queue_capacity = 64;
+  EstimateService service(static_graph_source(g), config);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 6;
+  std::vector<std::future<EstimateResponse>> futures(kThreads * kPerThread);
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const int k = t * kPerThread + i;
+        EstimateRequest req = size_request(0.3 + 0.005 * k);
+        req.allow_cached = false;
+        futures[static_cast<std::size_t>(k)] = service.submit(req);
+      }
+    });
+  }
+  for (auto& s : submitters) s.join();
+  for (auto& f : futures) EXPECT_EQ(f.get().status, ServeStatus::kOk);
+  const auto counters = service.metrics().snapshot();
+  EXPECT_EQ(counters.counter_or_zero("serve.batches"),
+            static_cast<std::uint64_t>(kThreads * kPerThread));
 }
 
 TEST(EstimateService, RefreshOnceRecomputesAgingEntries) {
