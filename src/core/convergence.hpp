@@ -41,8 +41,8 @@ namespace overcount {
 /// NaN and the trajectory is still useful against `truth`.
 struct ConvergenceOptions {
   /// Walks per recording interval; 0 picks ~50 snapshots across the batch
-  /// (at least one kernel width per interval, so each interval fills the
-  /// kernel's lanes).
+  /// (at least kDefaultKernelWidth walks per interval, so each interval
+  /// gives the drive_lanes calls a full band to share).
   std::size_t interval = 0;
   double delta = 0.05;       ///< confidence failure probability (RT bound)
   double lambda2 = 0.0;      ///< spectral gap of the overlay, when known
@@ -77,18 +77,19 @@ inline double sc_half_width(std::size_t ell, std::uint64_t trials) {
                           static_cast<double>(trials));
 }
 
-/// Runs walks [0, m) through run_chunks one recording interval at a
-/// time, calling `record(done)` after each. Each walk runs on its own stream
-/// exactly as in the plain batch, so the interval boundaries cannot perturb
-/// any walk; `stats` accumulates the dispatch timings of every interval.
-template <typename Chunk, typename Record>
+/// Runs walks [0, m) through run_lanes one recording interval at a time,
+/// each interval one cursor over its walks, calling `record(done)` after
+/// each. Each walk runs on its own stream exactly as in the plain batch, so
+/// the interval boundaries cannot perturb any walk; `stats` accumulates the
+/// dispatch timings of every interval.
+template <typename Lanes, typename Record>
 void run_intervals(ParallelRunner& runner, std::size_t m,
-                   std::size_t interval, const Chunk& chunk,
+                   std::size_t interval, const Lanes& lanes,
                    BatchStats& stats, Record&& record) {
   for (std::size_t done = 0; done < m;) {
     const std::size_t group = std::min(interval, m - done);
     BatchStats group_stats;
-    run_chunks<NullProbe>(runner, done, done + group, chunk, group_stats);
+    run_lanes<NullProbe>(runner, done, done + group, lanes, group_stats);
     done += group;
     stats.wall_seconds += group_stats.wall_seconds;
     stats.cpu_seconds += group_stats.cpu_seconds;
@@ -114,7 +115,7 @@ TourBatch run_tours_size_converging(const G& g, NodeId origin, std::size_t m,
   recorder = TimeSeriesRecorder("random_tour", opts.truth);
   TourBatch batch;
   batch.tours.resize(m);
-  auto streams = derive_streams(seed, m);
+  const auto streams = derive_streams(seed, m);
   auto f = [](NodeId) { return 1.0; };
   std::uint64_t steps_spent = 0;
   std::vector<double> completed_prefix;  // completed estimates, task order
@@ -122,7 +123,7 @@ TourBatch run_tours_size_converging(const G& g, NodeId origin, std::size_t m,
   std::size_t next_prefix = 0;
   detail::run_intervals(
       runner, m, detail::resolve_interval(opts.interval, m),
-      detail::tour_chunk(g, origin, f, streams, batch.tours, max_steps),
+      detail::tour_lanes(g, origin, f, streams, batch.tours, max_steps),
       batch.stats, [&](std::size_t done) {
         for (; next_prefix < done; ++next_prefix) {
           steps_spent += batch.tours[next_prefix].steps;
@@ -156,16 +157,19 @@ ScBatch run_sc_converging(const G& g, NodeId origin, std::size_t trials,
   recorder = TimeSeriesRecorder("sample_collide", opts.truth);
   ScBatch batch;
   batch.trials.resize(trials);
-  auto streams = derive_streams(seed, trials);
+  const auto streams = derive_streams(seed, trials);
+  std::vector<ScTrialRaw> raw(trials);
   std::uint64_t hops_spent = 0;
   std::vector<double> simple_prefix;
   simple_prefix.reserve(trials);
   std::size_t next_prefix = 0;
   detail::run_intervals(
       runner, trials, detail::resolve_interval(opts.interval, trials),
-      detail::sc_chunk(g, origin, timer, ell, streams, batch.trials),
-      batch.stats, [&](std::size_t done) {
+      detail::sc_lanes(g, origin, timer, ell, streams, raw), batch.stats,
+      [&](std::size_t done) {
         for (; next_prefix < done; ++next_prefix) {
+          batch.trials[next_prefix] =
+              detail::finalize_sc_trial(raw[next_prefix], ell);
           hops_spent += batch.trials[next_prefix].hops;
           simple_prefix.push_back(batch.trials[next_prefix].simple);
         }

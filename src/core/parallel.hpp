@@ -16,19 +16,25 @@
 //
 // One batch path: every tour, CTRW-sample and S&C batch (probed or not, and
 // the monitored runs of core/convergence.hpp) goes through detail::
-// run_chunks, which cuts the walks into chunks of kDefaultKernelWidth when
-// the batch fills one and into single walks otherwise, one pool task per
-// chunk. Every chunk runs the interleaved prefetching kernel of
-// walk/kernel.hpp, which replays the scalar per-walk draw order exactly, so
-// each result equals the scalar reference (random_tour, ctrw_sample,
-// SampleCollideEstimator) bit for bit, and probed batches fold the same
-// per-walk WalkStats (tests/walk/kernel_equivalence_test.cpp). Origins are
-// validated unconditionally at batch entry; the per-step degree checks
-// inside the walks compile out of plain Release builds
-// (OVERCOUNT_HOT_CHECKS, util/contracts.hpp).
+// run_lanes: one drive_lanes call per worker, min(threads, m) workers, whose
+// lanes claim walk indices from one shared atomic cursor and refill from it
+// until the batch is drained. The interleave width is derived, not set:
+// min(kDefaultKernelWidth, ceil(m / workers)), so a batch smaller than
+// threads x 16 still spreads over every thread, and a one-thread batch keeps
+// its lanes full across the whole batch. Every call runs the interleaved
+// prefetching kernel of walk/kernel.hpp, whose lanes walk on their own
+// copies of the batch's streams and replay the scalar per-walk draw order
+// exactly, so each result equals the scalar reference (random_tour,
+// ctrw_sample, SampleCollideEstimator) bit for bit whichever worker claims
+// the walk, and probed batches fold the same per-walk WalkStats
+// (tests/walk/kernel_equivalence_test.cpp). Origins are validated
+// unconditionally at batch entry; the per-step degree checks inside the
+// walks compile out of plain Release builds (OVERCOUNT_HOT_CHECKS,
+// util/contracts.hpp).
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -138,32 +144,36 @@ inline ScEstimate finalize_sc_trial(const ScTrialRaw& raw, std::size_t ell) {
 }
 
 /// The one dispatch skeleton every batch runs through. Walks [begin, end)
-/// are cut into chunks of kDefaultKernelWidth walks when the range fills at
-/// least one, else into single walks; each chunk is one pool task calling
-/// `kernel(first, count, probes)`. For an enabled probe type P, `probes`
-/// holds one P per walk of the chunk, each recording into its own WalkStats,
-/// and `walk_out` receives their deterministic fold; for NullProbe the span
-/// is empty and `walk_out` unused. `stats` receives the dispatch counters,
-/// with `tasks` counting walks, not chunks.
-template <WalkProbe P, typename Kernel>
-void run_chunks(ParallelRunner& runner, std::size_t begin, std::size_t end,
-                const Kernel& kernel, BatchStats& stats,
-                WalkStats* walk_out = nullptr) {
+/// are claimed from one atomic cursor by min(threads, m) workers, each running
+/// `lanes(begin, m, width, cursor, probes)` once — one drive_lanes call of
+/// `width` = min(kDefaultKernelWidth, ceil(m / workers)) lanes over walks
+/// [begin, begin + m). For an enabled probe type P, `probes` holds one P per
+/// walk, each recording into its own WalkStats, and `walk_out` receives
+/// their deterministic fold; for NullProbe the span is empty and `walk_out`
+/// unused. `stats` receives the dispatch counters, with `tasks` counting
+/// walks, not workers.
+template <WalkProbe P, typename Lanes>
+void run_lanes(ParallelRunner& runner, std::size_t begin, std::size_t end,
+               const Lanes& lanes, BatchStats& stats,
+               WalkStats* walk_out = nullptr) {
   const std::size_t m = end - begin;
-  const std::size_t width = m >= kDefaultKernelWidth ? kDefaultKernelWidth : 1;
+  const std::size_t workers = std::min<std::size_t>(runner.thread_count(), m);
+  const std::size_t width =
+      workers == 0 ? 1
+                   : std::min(kDefaultKernelWidth, (m + workers - 1) / workers);
   std::vector<WalkStats> per_walk(probe_enabled_v<P> ? m : 0);
+  std::vector<P> probes;
+  if constexpr (probe_enabled_v<P>) {
+    probes.reserve(m);
+    for (WalkStats& w : per_walk) probes.emplace_back(w);
+  }
+  // Every worker's lanes bump the cursor, once per walk: keep it off the
+  // cache lines of the caller's other locals.
+  alignas(64) std::atomic<std::size_t> cursor{0};
   runner.run<char>(
-      (m + width - 1) / width,
-      [&](std::size_t c) {
-        const std::size_t first = begin + c * width;
-        const std::size_t count = std::min(width, end - first);
-        std::vector<P> probes;
-        if constexpr (probe_enabled_v<P>) {
-          probes.reserve(count);
-          for (std::size_t j = 0; j < count; ++j)
-            probes.emplace_back(per_walk[first - begin + j]);
-        }
-        kernel(first, count, std::span<P>(probes));
+      workers,
+      [&](std::size_t) {
+        lanes(begin, m, width, cursor, std::span<P>(probes));
         return char{0};
       },
       &stats);
@@ -171,38 +181,43 @@ void run_chunks(ParallelRunner& runner, std::size_t begin, std::size_t end,
   if constexpr (probe_enabled_v<P>) *walk_out = fold_walk_stats(per_walk);
 }
 
-/// Chunk bodies for run_chunks: walks [first, first + count) on their own
+/// Lane bodies for run_lanes: walks [first, first + count) on their own
 /// streams, results into their own slots.
 template <OverlayTopology G, typename F>
-auto tour_chunk(const G& g, NodeId origin, F& f, std::span<Rng> streams,
+auto tour_lanes(const G& g, NodeId origin, F& f, std::span<const Rng> streams,
                 std::span<TourEstimate> out, std::uint64_t max_steps) {
   return [&g, origin, &f, streams, out, max_steps](
-             std::size_t first, std::size_t count, auto probes) {
+             std::size_t first, std::size_t count, std::size_t width,
+             std::atomic<std::size_t>& cursor, auto probes) {
     tour_kernel(g, origin, f, streams.subspan(first, count),
-                out.subspan(first, count), count, max_steps, probes);
+                out.subspan(first, count), width, max_steps, probes, &cursor);
   };
 }
 
 template <OverlayTopology G>
-auto ctrw_chunk(const G& g, NodeId origin, double timer,
-                std::span<Rng> streams, std::span<SampleResult> out) {
+auto ctrw_lanes(const G& g, NodeId origin, double timer,
+                std::span<const Rng> streams, std::span<SampleResult> out) {
   return [&g, origin, timer, streams, out](std::size_t first,
-                                           std::size_t count, auto probes) {
+                                           std::size_t count,
+                                           std::size_t width,
+                                           std::atomic<std::size_t>& cursor,
+                                           auto probes) {
     ctrw_kernel(g, origin, timer, streams.subspan(first, count),
-                out.subspan(first, count), count, probes);
+                out.subspan(first, count), width, probes, &cursor);
   };
 }
 
+/// S&C trials write raw (C_ell, hops) statistics into one batch-wide buffer,
+/// one slot per trial; finalize_sc_trial turns them into estimates once the
+/// trials have run.
 template <OverlayTopology G>
-auto sc_chunk(const G& g, NodeId origin, double timer, std::size_t ell,
-              std::span<Rng> streams, std::span<ScEstimate> out) {
-  return [&g, origin, timer, ell, streams, out](
-             std::size_t first, std::size_t count, auto probes) {
-    std::vector<ScTrialRaw> raw(count);
+auto sc_lanes(const G& g, NodeId origin, double timer, std::size_t ell,
+              std::span<const Rng> streams, std::span<ScTrialRaw> raw) {
+  return [&g, origin, timer, ell, streams, raw](
+             std::size_t first, std::size_t count, std::size_t width,
+             std::atomic<std::size_t>& cursor, auto probes) {
     sc_kernel(g, origin, timer, ell, streams.subspan(first, count),
-              std::span<ScTrialRaw>(raw), count, probes);
-    for (std::size_t j = 0; j < count; ++j)
-      out[first + j] = finalize_sc_trial(raw[j], ell);
+              raw.subspan(first, count), width, probes, &cursor);
   };
 }
 
@@ -258,10 +273,10 @@ TourBatch tour_batch(const G& g, NodeId origin, std::size_t m, F& f,
   OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
   TourBatch batch;
   batch.tours.resize(m);
-  auto streams = derive_streams(seed, m);
-  run_chunks<P>(runner, 0, m,
-                tour_chunk(g, origin, f, streams, batch.tours, max_steps),
-                batch.stats, walk_out);
+  const auto streams = derive_streams(seed, m);
+  run_lanes<P>(runner, 0, m,
+               tour_lanes(g, origin, f, streams, batch.tours, max_steps),
+               batch.stats, walk_out);
   finish_tour_batch(batch);
   return batch;
 }
@@ -273,10 +288,10 @@ SampleBatch sample_batch(const G& g, NodeId origin, std::size_t m,
   OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
   SampleBatch batch;
   batch.samples.resize(m);
-  auto streams = derive_streams(seed, m);
-  run_chunks<P>(runner, 0, m,
-                ctrw_chunk(g, origin, timer, streams, batch.samples),
-                batch.stats, walk_out);
+  const auto streams = derive_streams(seed, m);
+  run_lanes<P>(runner, 0, m,
+               ctrw_lanes(g, origin, timer, streams, batch.samples),
+               batch.stats, walk_out);
   finish_sample_batch(batch);
   return batch;
 }
@@ -287,11 +302,14 @@ ScBatch sc_batch(const G& g, NodeId origin, std::size_t trials, double timer,
                  WalkStats* walk_out) {
   OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
   ScBatch batch;
-  batch.trials.resize(trials);
-  auto streams = derive_streams(seed, trials);
-  run_chunks<P>(runner, 0, trials,
-                sc_chunk(g, origin, timer, ell, streams, batch.trials),
-                batch.stats, walk_out);
+  const auto streams = derive_streams(seed, trials);
+  std::vector<ScTrialRaw> raw(trials);
+  run_lanes<P>(runner, 0, trials,
+               sc_lanes(g, origin, timer, ell, streams, raw), batch.stats,
+               walk_out);
+  batch.trials.reserve(trials);
+  for (const ScTrialRaw& r : raw)
+    batch.trials.push_back(finalize_sc_trial(r, ell));
   finish_sc_batch(batch);
   return batch;
 }

@@ -114,9 +114,12 @@ struct WalkStats {
 };
 
 /// Probe that accumulates into a caller-owned WalkStats. Single-threaded by
-/// design: parallel batches give each task its own probe and fold the
-/// results deterministically afterwards.
-class WalkStatsProbe {
+/// design: parallel batches give each walk its own probe and fold the
+/// results deterministically afterwards. The revisit set lives only while a
+/// walk runs: tour_end and sample_end free it, so a batch holding one probe
+/// per walk keeps sets only for the walks in flight, and a probe reused
+/// across walks never clears a bucket array sized for its longest walk.
+class alignas(64) WalkStatsProbe {
  public:
   static constexpr bool enabled = true;
 
@@ -145,10 +148,12 @@ class WalkStatsProbe {
     else
       ++out_->truncated_tours;
     out_->tour_steps.record(steps);
+    std::unordered_set<std::uint64_t>().swap(seen_);  // frees the buckets
   }
   void sample_end(std::uint64_t hops) {
     ++out_->samples;
     out_->sample_hops.record(hops);
+    std::unordered_set<std::uint64_t>().swap(seen_);  // frees the buckets
   }
 
  private:

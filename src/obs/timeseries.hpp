@@ -12,7 +12,7 @@
 // cumulative step bill and the wall clock — and timeseries.cpp exports it as
 // versioned JSON for scripts/report_convergence.py.
 //
-// Recording happens BETWEEN batch chunks (core/convergence.hpp), never
+// Recording happens BETWEEN recording intervals (core/convergence.hpp), never
 // inside a walk, and touches no Rng: a monitored run returns estimates
 // bit-identical to the plain batch of the same (seed, m), pinned by
 // tests/obs/timeseries_test.cpp.

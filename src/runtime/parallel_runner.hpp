@@ -14,14 +14,15 @@
 //    is BIT-IDENTICAL for any thread count, including 1.
 //
 // The runner knows nothing about walks: a task is an index. The estimator
-// batches (core/parallel.hpp) make each task one chunk of walks run by the
-// interleaved kernel of walk/kernel.hpp.
+// batches (core/parallel.hpp) run one task per worker, each an interleaved
+// kernel of walk/kernel.hpp whose lanes claim walks from a shared cursor.
 //  * Floating-point accumulation over a batch goes through a fixed pairwise
 //    tree reduction (tree_sum below), never a scheduling-ordered sum.
 //
 // The pool is deliberately work-stealing-free: workers pull task indices
-// from a single atomic counter. Tours on the same graph have similar cost,
-// so a shared counter load-balances fine and keeps the dispatch auditable.
+// from a single atomic counter, and the batches' lanes pull walks the same
+// way, so a long heavy-tailed tour delays only the lane that runs it and the
+// dispatch stays auditable.
 #pragma once
 
 #include <atomic>

@@ -14,11 +14,16 @@
 //
 // One lane driver (drive_lanes) owns the band: the lane vector, the
 // round-robin rotation, and retiring a finished walk's lane or refilling it
-// with the next walk. Each kernel supplies only its lane state, a start and
-// the two halves of its step — the walk steps of walk/step.hpp, drawn from
-// the walk's own stream through StreamDraws. Each lane alternates two phases
-// per step, giving every potentially-missing load a full rotation (W-1
-// other lane turns) between prefetch and use:
+// with the next walk. Lanes claim walks from a cursor, one atomic counter
+// that hands out each walk index once, in increasing order: the batch layer
+// (core/parallel.hpp) runs one drive_lanes call per worker over one shared cursor, so
+// a lane that finishes refills from the whole batch and a long heavy-tailed
+// walk never leaves the other lanes of its worker idle.
+// Each kernel supplies only its lane state, a start and the two halves of
+// its step — the walk steps of walk/step.hpp, drawn through StreamDraws
+// from the lane's own copy of the walk's stream. Each lane alternates two
+// phases per step, giving every potentially-missing load a full rotation
+// (W-1 other lane turns) between prefetch and use:
 //
 //   read phase     at = *ptr            adjacency element, prefetched one
 //                                       rotation ago when ptr was drawn
@@ -28,14 +33,20 @@
 //                                       offsets now (likely) cached; draw
 //                                       ptr = &nbrs[k]; __builtin_prefetch
 //
-// Determinism contract: lane w draws ONLY from streams[w], in exactly the
-// order the scalar code (core/random_tour.hpp random_tour, walk/walkers.hpp
-// ctrw_sample, core/sample_collide.hpp SampleCollideEstimator) draws, and
-// every floating-point accumulation runs in the same per-walk order — so
-// each per-walk result is BIT-IDENTICAL to the scalar path at any width,
+// Streams are read-only here: a lane copies streams[w] when it claims walk
+// w and draws from that copy. Drawing in place would write the packed
+// stream vector on every step, and walks run by different threads share
+// its cache lines (false sharing; EXPERIMENTS.md, "Shared walk cursor").
+//
+// Determinism contract: walk w draws ONLY from a copy of streams[w], in
+// exactly the order the scalar code (core/random_tour.hpp random_tour,
+// walk/walkers.hpp ctrw_sample, core/sample_collide.hpp
+// SampleCollideEstimator) draws, and every floating-point accumulation runs
+// in the same per-walk order — so each per-walk result is BIT-IDENTICAL to
+// the scalar path at any width, whichever lane or worker claims the walk,
 // and batches built on the kernel are bit-identical at any thread count
 // (tests/walk/kernel_equivalence_test.cpp pins this). Probes are per-walk:
-// lane w only ever touches probes[w], so per-probe event order matches the
+// walk w only ever touches probes[w], so per-probe event order matches the
 // scalar path too, even though events of different walks interleave in time.
 //
 // Per-step degree checks compile to OVERCOUNT_HOT_EXPECTS (off in plain
@@ -43,6 +54,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -72,46 +84,57 @@ inline void kernel_prefetch(const G& g, NodeId v) noexcept {
 }
 
 /// One lane of the band: the walk it runs (an index into the kernel's
-/// streams/out/probes), the kernel's walk state, and the adjacency element
-/// its next read phase loads (nullptr: the next turn is a process phase).
+/// streams/out/probes), its own copy of that walk's stream, the kernel's
+/// walk state, and the adjacency element its next read phase loads
+/// (nullptr: the next turn is a process phase).
 template <typename State>
 struct KernelLane {
   std::size_t walk = 0;
   const NodeId* ptr = nullptr;
   std::uint64_t trace_t0 = 0;  ///< span start (only written when tracing)
+  Rng rng;
   State state{};
 };
 
-/// The lane driver: runs walks 0..count-1 from `origin` at most `width` at
-/// a time, round-robin, one phase per turn, after checking the kernel
-/// call's boundary contract (one stream and, for an enabled probe type, one
-/// probe per walk; a walkable origin). The kernel supplies
+/// drive_lanes: runs the walks it claims from `cursor`, the next walk
+/// index to hand out (all of them, through a cursor of its own, when
+/// `cursor` is null), from `origin` at most `width` at a time, round-robin,
+/// one phase per turn, after checking the kernel call's boundary contract
+/// (one stream and, for an enabled probe type, one probe per walk; a
+/// walkable origin). The kernel supplies
 ///   start(lane)        begin walk lane.walk (its first turn processes)
 ///   arrive(lane, at)   read phase: the walk moved to `at`
 ///   step(lane)         process phase: set lane.ptr to the drawn element,
 ///                      or leave it null to process again at once
 /// where arrive and step return true once the walk is finished and its
-/// result written. A finished lane is refilled with the next walk, or
-/// retired when none is left.
+/// result written. A finished lane claims the next walk, or is retired when
+/// none is left.
 template <typename State, OverlayTopology G, WalkProbe P, typename Start,
           typename Arrive, typename Step>
-void drive_lanes(const G& g, NodeId origin, std::size_t streams,
+void drive_lanes(const G& g, NodeId origin, std::span<const Rng> streams,
                  std::size_t count, std::size_t width, std::span<P> probes,
-                 Start&& start, Arrive&& arrive, Step&& step) {
-  OVERCOUNT_EXPECTS(streams == count);
+                 std::atomic<std::size_t>* cursor, Start&& start,
+                 Arrive&& arrive, Step&& step) {
+  OVERCOUNT_EXPECTS(streams.size() == count);
   OVERCOUNT_EXPECTS(width >= 1);
   if constexpr (probe_enabled_v<P>) OVERCOUNT_EXPECTS(probes.size() == count);
   if (count == 0) return;
   OVERCOUNT_EXPECTS(g.degree(origin) > 0);
   using Lane = KernelLane<State>;
-  std::size_t next_walk = 0;
-  auto refill = [&](Lane& lane) {
-    lane.walk = next_walk++;
+  std::atomic<std::size_t> own{0};
+  std::atomic<std::size_t>& next = cursor != nullptr ? *cursor : own;
+  auto claim = [&](Lane& lane) {
+    lane.walk = next.fetch_add(1, std::memory_order_relaxed);
+    if (lane.walk >= count) return false;
     lane.ptr = nullptr;
+    lane.rng = streams[lane.walk];
     start(lane);
+    return true;
   };
   std::vector<Lane> lanes(std::min(width, count));
-  for (Lane& lane : lanes) refill(lane);
+  std::size_t filled = 0;
+  while (filled < lanes.size() && claim(lanes[filled])) ++filled;
+  lanes.resize(filled);
 
   std::size_t li = 0;
   while (!lanes.empty()) {
@@ -132,9 +155,7 @@ void drive_lanes(const G& g, NodeId origin, std::size_t streams,
       }
       continue;
     }
-    if (next_walk < count) {
-      refill(lane);
-    } else {
+    if (!claim(lane)) {
       lanes[li] = std::move(lanes.back());
       lanes.pop_back();
     }
@@ -145,21 +166,24 @@ void drive_lanes(const G& g, NodeId origin, std::size_t streams,
 /// Interleaved Random Tours: walk w of `out.size()` runs from `origin` on
 /// `streams[w]`, estimating sum_j f(j), bit-identical to
 /// `random_tour(g, origin, f, streams[w], max_steps, probes[w])`. At most
-/// `width` walks are in flight per call; the batch layer (core/parallel.hpp)
-/// calls it once per chunk of kDefaultKernelWidth walks, or of one walk for
-/// batches smaller than that, with width equal to the chunk size. When P is an enabled probe type, `probes` must have one probe per
-/// walk (probes[w] observes walk w only).
+/// `width` walks are in flight per call. Called alone (`cursor` null) it runs
+/// every walk; the batch layer (core/parallel.hpp) instead calls it once per
+/// worker, all calls sharing one cursor over the batch. When P is an enabled
+/// probe type, `probes` must have one probe per walk (probes[w] observes
+/// walk w only).
 template <OverlayTopology G, typename F, WalkProbe P = NullProbe>
-void tour_kernel(const G& g, NodeId origin, F&& f, std::span<Rng> streams,
-                 std::span<TourEstimate> out, std::size_t width,
-                 std::uint64_t max_steps = ~0ULL, std::span<P> probes = {}) {
+void tour_kernel(const G& g, NodeId origin, F&& f,
+                 std::span<const Rng> streams, std::span<TourEstimate> out,
+                 std::size_t width, std::uint64_t max_steps = ~0ULL,
+                 std::span<P> probes = {},
+                 std::atomic<std::size_t>* cursor = nullptr) {
   // Tracing is checked ONCE per kernel call: lane lifecycle spans cost two
   // clock reads per WALK when a recorder is installed, and a dead branch
   // otherwise. No trace call touches any stream, so traced batches stay
   // bit-identical (obs/trace.hpp).
   const bool tracing = trace_active();
   drive_lanes<TourWalk>(
-      g, origin, streams.size(), out.size(), width, probes,
+      g, origin, streams, out.size(), width, probes, cursor,
       [&](auto& lane) {
         if (tracing) lane.trace_t0 = trace_now_us();
         if constexpr (probe_enabled_v<P>) probes[lane.walk].walk_begin(origin);
@@ -177,7 +201,7 @@ void tour_kernel(const G& g, NodeId origin, F&& f, std::span<Rng> streams,
         return true;
       },
       [&](auto& lane) {
-        StreamDraws draws(streams[lane.walk]);
+        StreamDraws draws(lane.rng);
         lane.ptr = tour_step(g, f, lane.state, draws);
         return false;
       });
@@ -185,18 +209,20 @@ void tour_kernel(const G& g, NodeId origin, F&& f, std::span<Rng> streams,
 
 /// Interleaved CTRW sampling walks: walk w runs from `origin` with horizon
 /// `timer` on `streams[w]`, bit-identical to
-/// `ctrw_sample(g, origin, timer, streams[w], probes[w])`.
+/// `ctrw_sample(g, origin, timer, streams[w], probes[w])`. `cursor` as for
+/// tour_kernel.
 template <OverlayTopology G, WalkProbe P = NullProbe>
 void ctrw_kernel(const G& g, NodeId origin, double timer,
-                 std::span<Rng> streams, std::span<SampleResult> out,
-                 std::size_t width, std::span<P> probes = {}) {
+                 std::span<const Rng> streams, std::span<SampleResult> out,
+                 std::size_t width, std::span<P> probes = {},
+                 std::atomic<std::size_t>* cursor = nullptr) {
   OVERCOUNT_EXPECTS(timer > 0.0);
 
   // One active-recorder check per kernel call; spans are per WALK, never per
   // step, and touch no stream (see tour_kernel).
   const bool tracing = trace_active();
   drive_lanes<CtrwWalk>(
-      g, origin, streams.size(), out.size(), width, probes,
+      g, origin, streams, out.size(), width, probes, cursor,
       [&](auto& lane) {
         if (tracing) lane.trace_t0 = trace_now_us();
         if constexpr (probe_enabled_v<P>) probes[lane.walk].walk_begin(origin);
@@ -207,7 +233,7 @@ void ctrw_kernel(const G& g, NodeId origin, double timer,
         return false;
       },
       [&](auto& lane) {
-        StreamDraws draws(streams[lane.walk]);
+        StreamDraws draws(lane.rng);
         lane.ptr =
             ctrw_hop(g, lane.state, draws, walk_probe(probes, lane.walk));
         if (lane.ptr != nullptr) return false;
@@ -226,11 +252,12 @@ void ctrw_kernel(const G& g, NodeId origin, double timer,
 /// probes[t])`. Returns the raw (C_ell, hops) statistic per trial; the batch
 /// layer applies the Section 4 estimator math. Collision bookkeeping is
 /// walk/collision.hpp's ScTrial: every sample whose node was already seen
-/// within the SAME trial counts one collision.
+/// within the SAME trial counts one collision. `cursor` as for tour_kernel.
 template <OverlayTopology G, WalkProbe P = NullProbe>
 void sc_kernel(const G& g, NodeId origin, double timer, std::size_t ell,
-               std::span<Rng> streams, std::span<ScTrialRaw> out,
-               std::size_t width, std::span<P> probes = {}) {
+               std::span<const Rng> streams, std::span<ScTrialRaw> out,
+               std::size_t width, std::span<P> probes = {},
+               std::atomic<std::size_t>* cursor = nullptr) {
   OVERCOUNT_EXPECTS(timer > 0.0);
   OVERCOUNT_EXPECTS(ell >= 1);
   struct TrialLane {
@@ -246,7 +273,7 @@ void sc_kernel(const G& g, NodeId origin, double timer, std::size_t ell,
     lane.state.walk = {origin, timer, 0};
   };
   drive_lanes<TrialLane>(
-      g, origin, streams.size(), out.size(), width, probes,
+      g, origin, streams, out.size(), width, probes, cursor,
       [&](auto& lane) {
         if (tracing) lane.trace_t0 = trace_now_us();
         lane.state.trial.reset();
@@ -258,7 +285,7 @@ void sc_kernel(const G& g, NodeId origin, double timer, std::size_t ell,
       },
       [&](auto& lane) {
         P& probe = walk_probe(probes, lane.walk);
-        StreamDraws draws(streams[lane.walk]);
+        StreamDraws draws(lane.rng);
         lane.ptr = ctrw_hop(g, lane.state.walk, draws, probe);
         if (lane.ptr != nullptr) return false;
         // the timer died at walk.at: one sample delivered

@@ -6,8 +6,10 @@
 #include <cstddef>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/convergence.hpp"
 #include "core/parallel.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
@@ -283,6 +285,139 @@ TEST(ParallelBatches, BatchStatsCountDomainSteps) {
   EXPECT_GT(batch.stats.steps, 0u);
   EXPECT_EQ(batch.stats.threads, 2u);
 }
+
+// --- Bit-identical batches at every shape of the lane bands ---
+//
+// A batch runs min(threads, m) drive_lanes calls of width min(16, ceil(m /
+// workers)) over one shared walk cursor. The sizes below give widths 1 to
+// 16 and uneven last claims (17 and 33 walks leave one walk over a full
+// band); the thread counts include 3, which divides none of them evenly.
+// Every shape must reproduce the 1-thread batch bit for bit: plain, probed
+// and monitored.
+
+const unsigned kLaneThreads[] = {1, 2, 3, 4, 8};
+
+void expect_same_walk_stats(const WalkStats& a, const WalkStats& b) {
+  EXPECT_EQ(a.walks, b.walks);
+  EXPECT_EQ(a.visits, b.visits);
+  EXPECT_EQ(a.revisits, b.revisits);
+  EXPECT_EQ(a.tours, b.tours);
+  EXPECT_EQ(a.completed_tours, b.completed_tours);
+  EXPECT_EQ(a.truncated_tours, b.truncated_tours);
+  EXPECT_EQ(a.samples, b.samples);
+  EXPECT_EQ(a.collisions, b.collisions);
+  EXPECT_EQ(a.sojourn_time, b.sojourn_time);  // bitwise: tree-reduced
+  EXPECT_EQ(a.tour_steps.sum, b.tour_steps.sum);
+  EXPECT_EQ(a.sample_hops.sum, b.sample_hops.sum);
+  EXPECT_EQ(a.collision_gaps.sum, b.collision_gaps.sum);
+}
+
+void expect_same_sample_batch(const SampleBatch& a, const SampleBatch& b) {
+  ASSERT_EQ(a.samples.size(), b.samples.size());
+  for (std::size_t i = 0; i < a.samples.size(); ++i) {
+    EXPECT_EQ(a.samples[i].node, b.samples[i].node) << "sample " << i;
+    EXPECT_EQ(a.samples[i].hops, b.samples[i].hops) << "sample " << i;
+  }
+  EXPECT_EQ(a.total_hops, b.total_hops);
+}
+
+void expect_same_sc_batch(const ScBatch& a, const ScBatch& b) {
+  ASSERT_EQ(a.trials.size(), b.trials.size());
+  for (std::size_t i = 0; i < a.trials.size(); ++i) {
+    EXPECT_EQ(a.trials[i].simple, b.trials[i].simple) << "trial " << i;
+    EXPECT_EQ(a.trials[i].ml, b.trials[i].ml) << "trial " << i;
+    EXPECT_EQ(a.trials[i].samples, b.trials[i].samples) << "trial " << i;
+    EXPECT_EQ(a.trials[i].hops, b.trials[i].hops) << "trial " << i;
+  }
+  EXPECT_EQ(a.sum_simple, b.sum_simple);
+  EXPECT_EQ(a.sum_ml, b.sum_ml);
+  EXPECT_EQ(a.total_hops, b.total_hops);
+}
+
+class LaneShapes : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(LaneShapes, ToursBitIdenticalAtEveryThreadCount) {
+  const Graph g = test_graph();
+  const std::size_t m = GetParam();
+  constexpr std::uint64_t kSeed = 31;
+  ParallelRunner reference(1);
+  const auto want = run_tours_size(g, 0, m, kSeed, reference);
+  WalkStats want_stats;
+  run_tours_size_probed(g, 0, m, kSeed, reference, want_stats);
+  for (const unsigned threads : kLaneThreads) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    ParallelRunner runner(threads);
+    expect_same_tour_batch(run_tours_size(g, 0, m, kSeed, runner), want);
+    WalkStats stats;
+    expect_same_tour_batch(
+        run_tours_size_probed(g, 0, m, kSeed, runner, stats), want);
+    expect_same_walk_stats(stats, want_stats);
+    TimeSeriesRecorder recorder;
+    ConvergenceOptions opts;
+    opts.interval = 5;  // intervals that split the lane bands unevenly
+    const auto monitored =
+        run_tours_size_converging(g, 0, m, kSeed, runner, recorder, opts);
+    expect_same_tour_batch(monitored, want);
+    EXPECT_EQ(monitored.stats.tasks, m);
+  }
+}
+
+TEST_P(LaneShapes, SamplesBitIdenticalAtEveryThreadCount) {
+  const Graph g = test_graph();
+  const std::size_t m = GetParam();
+  constexpr std::uint64_t kSeed = 37;
+  ParallelRunner reference(1);
+  const auto want = run_samples(g, 0, m, /*timer=*/6.0, kSeed, reference);
+  WalkStats want_stats;
+  run_samples_probed(g, 0, m, 6.0, kSeed, reference, want_stats);
+  for (const unsigned threads : kLaneThreads) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    ParallelRunner runner(threads);
+    expect_same_sample_batch(run_samples(g, 0, m, 6.0, kSeed, runner), want);
+    WalkStats stats;
+    expect_same_sample_batch(
+        run_samples_probed(g, 0, m, 6.0, kSeed, runner, stats), want);
+    expect_same_walk_stats(stats, want_stats);
+  }
+}
+
+TEST_P(LaneShapes, ScTrialsBitIdenticalAtEveryThreadCount) {
+  const Graph g = test_graph();
+  const std::size_t m = GetParam();
+  constexpr std::uint64_t kSeed = 41;
+  constexpr double kTimer = 6.0;
+  constexpr std::size_t kEll = 4;
+  ParallelRunner reference(1);
+  const auto want = run_sc_trials(g, 0, m, kTimer, kEll, kSeed, reference);
+  WalkStats want_stats;
+  run_sc_trials_probed(g, 0, m, kTimer, kEll, kSeed, reference, want_stats);
+  EXPECT_EQ(want_stats.collisions, m * kEll);
+  for (const unsigned threads : kLaneThreads) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    ParallelRunner runner(threads);
+    expect_same_sc_batch(
+        run_sc_trials(g, 0, m, kTimer, kEll, kSeed, runner), want);
+    WalkStats stats;
+    expect_same_sc_batch(run_sc_trials_probed(g, 0, m, kTimer, kEll, kSeed,
+                                              runner, stats),
+                         want);
+    expect_same_walk_stats(stats, want_stats);
+    TimeSeriesRecorder recorder;
+    ConvergenceOptions opts;
+    opts.interval = 5;
+    expect_same_sc_batch(run_sc_converging(g, 0, m, kTimer, kEll, kSeed,
+                                           runner, recorder, opts),
+                         want);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchSizes, LaneShapes,
+                         ::testing::Values(std::size_t{1}, std::size_t{3},
+                                           std::size_t{16}, std::size_t{17},
+                                           std::size_t{33}, std::size_t{64}),
+                         [](const auto& info) {
+                           return "m" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace overcount
