@@ -289,8 +289,9 @@ int main() {
       req.tenant_id = my_tenant_ids[pick];
       req.flags = net::kReqAllowCached | net::kReqExplicitTarget;
       // Class-shaped queries with a small epsilon spread: a handful of
-      // distinct cache keys per class, so the soak exercises hit, miss and
-      // coalesce paths without unbounded key growth.
+      // targets per class. Gold and silver share the Random Tour slot and
+      // its batches (the tightest pending or cached target covers the
+      // looser ones), so the soak exercises hit, miss and coalesce paths.
       const double spread = 0.05 * static_cast<double>(rng.uniform_below(3));
       switch (class_id) {
         case 0:
@@ -592,9 +593,11 @@ int main() {
                    : tenant_steps_sum /
                          static_cast<double>(steps_by_tenant.size()));
 
-  // net.* front-end counters ride into the artifact for baseline context.
+  // net.* front-end counters and the broker's batch / coalesce counts ride
+  // into the artifact for baseline context.
   for (const auto& [name, v] : snap.counters)
-    if (name.rfind("net.", 0) == 0)
+    if (name.rfind("net.", 0) == 0 || name == "serve.batches" ||
+        name == "serve.coalesced")
       record_value(name, static_cast<double>(v));
 
   table.print(std::cout);

@@ -42,12 +42,12 @@ std::uint64_t EstimateCache::current_ttl_us() const {
                   static_cast<std::uint64_t>(std::llround(ttl)));
 }
 
-EstimateCache::Lookup EstimateCache::find(const CacheKey& key, double epsilon,
-                                          double delta,
+EstimateCache::Lookup EstimateCache::find(EstimateMethod method,
+                                          double epsilon, double delta,
                                           std::uint64_t current_version,
                                           std::uint64_t now_us) {
   Lookup result;
-  auto it = entries_.find(key);
+  auto it = entries_.find(method);
   if (it == entries_.end()) {
     result.outcome = CacheOutcome::kMissEmpty;
     return result;
@@ -58,13 +58,12 @@ EstimateCache::Lookup EstimateCache::find(const CacheKey& key, double epsilon,
     result.outcome = CacheOutcome::kMissStaleVersion;
     return result;
   }
-  const std::uint64_t age_us =
-      now_us >= entry.computed_at_us ? now_us - entry.computed_at_us : 0;
+  const std::uint64_t age_us = entry.age_us(now_us);
   if (age_us > current_ttl_us()) {
     result.outcome = CacheOutcome::kMissExpired;
-    return result;  // kept: a refresh may supersede it under the same key
+    return result;  // kept: a refresh may supersede it in the same slot
   }
-  if (entry.epsilon > epsilon || entry.delta > delta) {
+  if (!covers(entry.epsilon, entry.delta, epsilon, delta)) {
     result.outcome = CacheOutcome::kMissEpsilon;
     return result;  // kept: looser requests can still ride it
   }
@@ -74,20 +73,23 @@ EstimateCache::Lookup EstimateCache::find(const CacheKey& key, double epsilon,
   return result;
 }
 
-void EstimateCache::insert(const CacheKey& key, const CacheEntry& entry) {
-  entries_[key] = entry;
+bool EstimateCache::insert(EstimateMethod method, const CacheEntry& entry) {
+  auto [it, inserted] = entries_.try_emplace(method, entry);
+  if (inserted) return true;
+  const CacheEntry& held = it->second;
+  const bool held_strictly_tighter =
+      covers(held.epsilon, held.delta, entry.epsilon, entry.delta) &&
+      !covers(entry.epsilon, entry.delta, held.epsilon, held.delta);
+  if (held_strictly_tighter && held.graph_version == entry.graph_version &&
+      held.age_us(entry.computed_at_us) <= current_ttl_us())
+    return false;
+  it->second = entry;
+  return true;
 }
 
-const CacheEntry* EstimateCache::peek(const CacheKey& key) const {
-  auto it = entries_.find(key);
+const CacheEntry* EstimateCache::peek(EstimateMethod method) const {
+  auto it = entries_.find(method);
   return it == entries_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::pair<CacheKey, CacheEntry>> EstimateCache::items() const {
-  std::vector<std::pair<CacheKey, CacheEntry>> out;
-  out.reserve(entries_.size());
-  for (const auto& kv : entries_) out.push_back(kv);
-  return out;
 }
 
 }  // namespace overcount

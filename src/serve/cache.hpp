@@ -1,9 +1,11 @@
 // Confidence-aware result cache for the estimate service.
 //
+// One slot per EstimateMethod: a Random Tour entry answers both query
+// kinds (QueryKind), a Sample & Collide entry answers size only.
+//
 // An entry is served only while THREE conditions hold at once:
-//  * accuracy — the entry's half-width is at or under the request's
-//    epsilon (and its delta at or under the request's): a looser request
-//    can ride a tighter batch, never the reverse;
+//  * accuracy — the entry covers the request (covers() below): a looser
+//    request can ride a tighter batch, never the reverse;
 //  * version — the entry was computed at the CURRENT topology version; a
 //    version bump (graph/dynamic_graph.hpp) invalidates it outright;
 //  * freshness — the entry's age is within the TTL, which shrinks as
@@ -21,38 +23,42 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
-#include <utility>
-#include <vector>
 
 #include "serve/types.hpp"
 
 namespace overcount {
 
-/// One cache slot per (kind, method): different estimators answer the same
-/// question with different statistics, so their results never alias.
-struct CacheKey {
-  QueryKind kind = QueryKind::kSize;
-  EstimateMethod method = EstimateMethod::kRandomTour;
-
-  friend bool operator<(const CacheKey& a, const CacheKey& b) noexcept {
-    if (a.kind != b.kind) return a.kind < b.kind;
-    return a.method < b.method;
-  }
-  friend bool operator==(const CacheKey& a, const CacheKey& b) noexcept {
-    return a.kind == b.kind && a.method == b.method;
-  }
-};
+/// The one coverage rule of the serving path: a result computed to
+/// (have_epsilon, have_delta) answers a request for (epsilon, delta) when it
+/// is at least as tight on both. The cache lookup, the insert rule,
+/// single-flight and the dispatch-time re-check all decide with it.
+constexpr bool covers(double have_epsilon, double have_delta, double epsilon,
+                      double delta) noexcept {
+  return have_epsilon <= epsilon && have_delta <= delta;
+}
 
 struct CacheEntry {
-  double value = 0.0;
+  double value = 0.0;  ///< size estimate (batch mean)
+  /// Degree-sum estimate of the same Random Tour batch (NaN for S&C). The
+  /// two answers are correlated: each meets (epsilon, delta) on its own;
+  /// no joint claim is made.
+  double degree_sum = std::numeric_limits<double>::quiet_NaN();
   double epsilon = 0.0;  ///< half-width the stored batch achieved
   double delta = 0.0;    ///< confidence failure prob it was planned for
   std::uint64_t walks = 0;
   std::uint64_t graph_version = 0;
   std::uint64_t computed_at_us = 0;
   std::uint64_t seed = 0;  ///< batch seed, for bit-identical replay checks
+
+  double answer(QueryKind kind) const noexcept {
+    return kind == QueryKind::kSize ? value : degree_sum;
+  }
+  std::uint64_t age_us(std::uint64_t now_us) const noexcept {
+    return now_us >= computed_at_us ? now_us - computed_at_us : 0;
+  }
 };
 
 enum class CacheOutcome : std::uint8_t {
@@ -89,21 +95,26 @@ class EstimateCache {
   /// the lookup reflects churn up to and including this observation.
   void observe_version(std::uint64_t version, std::uint64_t now_us);
 
-  /// Serves `key` if a stored entry satisfies (epsilon, delta) at
+  /// Serves `method`'s slot if its entry covers (epsilon, delta) at
   /// `current_version` within the churn-scaled TTL. Stale-version entries
   /// are evicted as a side effect (and reported as kMissStaleVersion).
-  Lookup find(const CacheKey& key, double epsilon, double delta,
+  Lookup find(EstimateMethod method, double epsilon, double delta,
               std::uint64_t current_version, std::uint64_t now_us);
 
-  void insert(const CacheKey& key, const CacheEntry& entry);
+  /// Stores `entry` unless the slot holds an unexpired entry at the same
+  /// version that is strictly tighter (covers `entry`, not vice versa), so
+  /// a looser batch landing later never evicts it. Returns whether stored.
+  bool insert(EstimateMethod method, const CacheEntry& entry);
 
   /// Peeks at the stored entry without freshness checks (refresher uses
   /// this to decide whether an entry is nearing expiry).
-  const CacheEntry* peek(const CacheKey& key) const;
+  const CacheEntry* peek(EstimateMethod method) const;
 
-  /// Copy of every stored (key, entry) pair, key order; the refresher
-  /// sweeps this to find entries nearing expiry.
-  std::vector<std::pair<CacheKey, CacheEntry>> items() const;
+  /// Every stored entry by method; the refresher sweeps this to find
+  /// entries nearing expiry.
+  const std::map<EstimateMethod, CacheEntry>& items() const noexcept {
+    return entries_;
+  }
 
   /// Current churn-scaled TTL, exported as a gauge.
   std::uint64_t current_ttl_us() const;
@@ -116,7 +127,7 @@ class EstimateCache {
 
  private:
   FreshnessPolicy policy_;
-  std::map<CacheKey, CacheEntry> entries_;
+  std::map<EstimateMethod, CacheEntry> entries_;
   std::uint64_t last_version_ = 0;
   std::uint64_t last_observation_us_ = 0;
   bool observed_ = false;

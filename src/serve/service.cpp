@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "core/parallel.hpp"
@@ -84,14 +83,8 @@ struct EstimateService::Metrics {
 namespace {
 
 bool valid_request(const EstimateRequest& req) {
-  if (!(req.epsilon > 0.0) || !(req.delta > 0.0) || req.delta >= 1.0)
-    return false;
-  // Sample & Collide estimates a size from collision counts; it has no
-  // per-node sum to generalise to degree sums.
-  if (req.method == EstimateMethod::kSampleCollide &&
-      req.kind != QueryKind::kSize)
-    return false;
-  return true;
+  return req.epsilon > 0.0 && req.delta > 0.0 && req.delta < 1.0 &&
+         answers(req.method, req.kind);
 }
 
 std::uint64_t version_gap(std::uint64_t a, std::uint64_t b) noexcept {
@@ -236,19 +229,20 @@ void EstimateService::resolve(std::promise<EstimateResponse>& promise,
 }
 
 EstimateResponse EstimateService::hit_response(const CacheEntry& entry,
+                                               QueryKind kind,
                                                std::uint64_t age_us,
                                                std::uint64_t admitted_us,
-                                               bool coalesced) {
+                                               bool coalesced,
+                                               std::uint64_t now) {
   EstimateResponse resp;
   resp.status = ServeStatus::kOk;
-  resp.value = entry.value;
+  resp.value = entry.answer(kind);
   resp.epsilon = entry.epsilon;
   resp.walks = entry.walks;
   resp.graph_version = entry.graph_version;
   resp.cache_hit = true;
   resp.coalesced = coalesced;
   resp.age_us = age_us;
-  const std::uint64_t now = now_us();
   resp.latency_us = now >= admitted_us ? now - admitted_us : 0;
   m_->request_latency_us.record(resp.latency_us);
   return resp;
@@ -289,11 +283,10 @@ std::future<EstimateResponse> EstimateService::submit(
 
   const std::uint64_t version = source_.version();
   cache_.observe_version(version, now);
-  const CacheKey key{request.kind, request.method};
 
   if (request.allow_cached) {
-    auto lookup =
-        cache_.find(key, request.epsilon, request.delta, version, now);
+    auto lookup = cache_.find(request.method, request.epsilon, request.delta,
+                              version, now);
     if (lookup.outcome == CacheOutcome::kMissStaleVersion)
       m_->invalidations.inc();
     if (lookup.hit()) {
@@ -304,7 +297,8 @@ std::future<EstimateResponse> EstimateService::submit(
       const CacheEntry entry = *lookup.entry;
       const std::uint64_t age = lookup.age_us;
       lock.unlock();
-      resolve(promise, request, hit_response(entry, age, now, false));
+      resolve(promise, request,
+              hit_response(entry, request.kind, age, now, false, now_us()));
       return future;
     }
     m_->cache_misses.inc();
@@ -321,17 +315,21 @@ std::future<EstimateResponse> EstimateService::submit(
     return future;
   }
 
-  const CoalesceKey ckey{request.kind, request.method, request.epsilon,
-                         request.delta};
   if (request.allow_cached) {
-    auto it = pending_.find(ckey);
-    if (it != pending_.end()) {
-      // Single-flight: ride the batch that is already queued. Its queue
-      // position keeps the FIRST requester's deadline; later riders with
-      // tighter deadlines are still deadline-checked at delivery.
+    // Single-flight: ride the earliest-deadline pending batch of this
+    // method that covers the request and is queued no later than the
+    // request's own deadline, so riding never moves it back in EDF order.
+    PendingBatch* ride = nullptr;
+    for (const BatchPtr& b : pending_)
+      if (b->method == request.method &&
+          covers(b->epsilon, b->delta, request.epsilon, request.delta) &&
+          b->deadline_us <= request.deadline_us &&
+          (ride == nullptr || b->deadline_us < ride->deadline_us))
+        ride = b.get();
+    if (ride != nullptr) {
       m_->coalesced.inc();
       cost_charge_ctx(ctx, CostField::kCoalesced, 1);
-      it->second->waiters.push_back(
+      ride->waiters.push_back(
           Waiter{std::move(promise), request, now, true, ctx});
       return future;
     }
@@ -373,7 +371,7 @@ std::future<EstimateResponse> EstimateService::submit(
   }
 
   auto batch = std::make_shared<PendingBatch>();
-  batch->key = key;
+  batch->method = request.method;
   batch->epsilon = request.epsilon;
   batch->delta = request.delta;
   batch->deadline_us = request.deadline_us;
@@ -395,7 +393,7 @@ std::future<EstimateResponse> EstimateService::submit(
     return future;
   }
   outstanding_steps_ += planned_steps;
-  if (request.allow_cached) pending_[ckey] = batch;
+  if (request.allow_cached) pending_.push_back(batch);
   update_gauges_locked();
   return future;
 }
@@ -407,15 +405,12 @@ void EstimateService::broker_loop(ParallelRunner& runner) {
 void EstimateService::process_batch(const BatchPtr& batch,
                                      ParallelRunner& runner) {
   {
-    // Detach from the single-flight map FIRST: from here on, identical
+    // Detach from the single-flight table FIRST: from here on, covered
     // requests start a fresh batch instead of riding one mid-run. After
     // this critical section the batch is unreachable from submit(), so this
     // loop owns its waiters without further locking.
     std::lock_guard lock(mutex_);
-    const CoalesceKey ckey{batch->key.kind, batch->key.method, batch->epsilon,
-                           batch->delta};
-    auto it = pending_.find(ckey);
-    if (it != pending_.end() && it->second == batch) pending_.erase(it);
+    std::erase(pending_, batch);
   }
   run_and_deliver(batch, runner);
   {
@@ -458,14 +453,14 @@ void EstimateService::run_and_deliver(const BatchPtr& batch,
   }
   if (batch->waiters.empty() && !batch->refresh_only) return;
 
-  // A batch that sat in the queue may have been satisfied meanwhile by an
-  // earlier batch under the same key: re-check the cache at dispatch.
-  // Refresh batches skip this — their purpose is a fresh entry.
+  // A batch that sat in the queue may have been covered meanwhile by an
+  // earlier batch of its method (and so all its riders): re-check the cache
+  // at dispatch. Refresh batches skip this — their purpose is a fresh entry.
   if (!batch->refresh_only && !batch->bypass_cache) {
     const std::uint64_t version = source_.version();  // graph lock only
     std::unique_lock lock(mutex_);
     cache_.observe_version(version, dispatch_now);
-    auto lookup = cache_.find(batch->key, batch->epsilon, batch->delta,
+    auto lookup = cache_.find(batch->method, batch->epsilon, batch->delta,
                               version, dispatch_now);
     if (lookup.outcome == CacheOutcome::kMissStaleVersion)
       m_->invalidations.inc();
@@ -478,7 +473,8 @@ void EstimateService::run_and_deliver(const BatchPtr& batch,
         cost_charge_ctx(w.cost_ctx, CostField::kCacheHits, 1);
         m_->hit_age_us.record(age);
         resolve(w.promise, w.request,
-                hit_response(entry, age, w.admitted_us, w.coalesced));
+                hit_response(entry, w.request.kind, age, w.admitted_us,
+                             w.coalesced, now_us()));
       }
       return;
     }
@@ -534,7 +530,7 @@ void EstimateService::run_and_deliver(const BatchPtr& batch,
 
   BudgetPlan plan;
   double timer = 0.0;
-  if (batch->key.method == EstimateMethod::kRandomTour) {
+  if (batch->method == EstimateMethod::kRandomTour) {
     plan = planner_.plan_tours(profile, batch->epsilon, batch->delta);
   } else {
     timer = config_.sc_timer > 0.0
@@ -557,7 +553,7 @@ void EstimateService::run_and_deliver(const BatchPtr& batch,
   }
 
   const std::uint64_t t0 = now_us();
-  double value = std::numeric_limits<double>::quiet_NaN();
+  CacheEntry entry;
   std::uint64_t steps = 0;
   bool ok = false;
   {
@@ -567,25 +563,28 @@ void EstimateService::run_and_deliver(const BatchPtr& batch,
     CostScope cost_scope(batch->cost_ctx);
     TraceSpan cost_span("cost", "cost.ctx", "cost_ctx", batch->cost_ctx);
     TraceSpan span("serve", "serve.walks", "walks", plan.walks);
-    if (batch->key.method == EstimateMethod::kRandomTour) {
-      TourBatch tours =
-          batch->key.kind == QueryKind::kSize
-              ? run_tours_size(snap.graph, snap.origin, plan.walks, seed,
-                               runner, config_.max_tour_steps)
-              : run_tours(
-                    snap.graph, snap.origin, plan.walks,
-                    [&g = snap.graph](NodeId v) {
-                      return static_cast<double>(g.degree(v));
-                    },
-                    seed, runner, config_.max_tour_steps);
+    if (batch->method == EstimateMethod::kRandomTour) {
+      const TourBatch tours =
+          run_tours_size(snap.graph, snap.origin, plan.walks, seed, runner,
+                         config_.max_tour_steps);
       ok = tours.ok();
-      value = tours.mean();
+      entry.value = tours.mean();
       steps = tours.total_steps;
+      // With f = degree a tour adds d_j/d_j = 1 per step (Prop. 1): its
+      // degree-sum estimate is d_origin * steps, over COMPLETED tours only.
+      // Every term is an integer-valued double, so this is the
+      // run_tours(f = degree) mean bit for bit.
+      std::uint64_t completed_steps = 0;
+      for (const TourEstimate& t : tours.tours)
+        if (t.completed) completed_steps += t.steps;
+      entry.degree_sum = static_cast<double>(snap.graph.degree(snap.origin)) *
+                         static_cast<double>(completed_steps) /
+                         static_cast<double>(tours.completed);
     } else {
       ScBatch trials = run_sc_trials(snap.graph, snap.origin, plan.walks,
                                      timer, config_.sc_ell, seed, runner);
       ok = trials.ok();
-      value = trials.mean_simple();
+      entry.value = trials.mean_simple();
       steps = trials.total_hops;
     }
   }
@@ -607,8 +606,6 @@ void EstimateService::run_and_deliver(const BatchPtr& batch,
     return;
   }
 
-  CacheEntry entry;
-  entry.value = value;
   entry.epsilon = plan.epsilon;
   entry.delta = batch->delta;
   entry.walks = plan.walks;
@@ -617,41 +614,34 @@ void EstimateService::run_and_deliver(const BatchPtr& batch,
   entry.seed = seed;
   {
     std::lock_guard lock(mutex_);
-    cache_.insert(batch->key, entry);
+    cache_.insert(batch->method, entry);
     const double wall = static_cast<double>(t1 >= t0 ? t1 - t0 : 0);
     ewma_batch_us_ =
         ewma_batch_us_ > 0.0 ? 0.8 * ewma_batch_us_ + 0.2 * wall : wall;
   }
   warmed_.store(true, std::memory_order_release);
 
-  // Feed the accuracy auditor AFTER the result is final: it only reads the
-  // delivered (value, promise, version) triple, never influences it.
+  // Feed the accuracy auditor AFTER the result is final, once per kind the
+  // batch answers: it only reads the delivered (value, promise, version)
+  // triple, never influences it.
   if (config_.auditor != nullptr)
-    config_.auditor->observe(to_string(batch->key.kind),
-                             to_string(batch->key.method), value, plan.epsilon,
-                             batch->delta, snap.version);
+    for (const QueryKind kind : {QueryKind::kSize, QueryKind::kDegreeSum})
+      if (answers(batch->method, kind))
+        config_.auditor->observe(to_string(kind), to_string(batch->method),
+                                 entry.answer(kind), plan.epsilon,
+                                 batch->delta, snap.version);
 
   for (auto& w : batch->waiters) {
-    EstimateResponse resp;
+    EstimateResponse resp = hit_response(entry, w.request.kind, 0,
+                                         w.admitted_us, w.coalesced, t1);
+    resp.cache_hit = false;
     // A result that lands after the deadline is still delivered (the walks
     // are spent either way) but flagged kDeadlineMiss, so ok() is false.
-    resp.status = (w.request.deadline_us != kNoDeadline &&
-                   t1 > w.request.deadline_us)
-                      ? ServeStatus::kDeadlineMiss
-                      : ServeStatus::kOk;
-    if (resp.status == ServeStatus::kDeadlineMiss) {
+    if (w.request.deadline_us != kNoDeadline && t1 > w.request.deadline_us) {
+      resp.status = ServeStatus::kDeadlineMiss;
       m_->deadline_misses.inc();
       cost_charge_ctx(w.cost_ctx, CostField::kDeadlineMisses, 1);
     }
-    resp.value = value;
-    resp.epsilon = plan.epsilon;
-    resp.walks = plan.walks;
-    resp.graph_version = snap.version;
-    resp.cache_hit = false;
-    resp.coalesced = w.coalesced;
-    resp.age_us = 0;
-    resp.latency_us = t1 >= w.admitted_us ? t1 - w.admitted_us : 0;
-    m_->request_latency_us.record(resp.latency_us);
     resolve(w.promise, w.request, std::move(resp));
   }
 }
@@ -667,41 +657,35 @@ std::size_t EstimateService::refresh_once() {
   const auto threshold = static_cast<std::uint64_t>(
       config_.refresh_at_fraction * static_cast<double>(ttl));
 
-  for (const auto& [key, entry] : cache_.items()) {
+  for (const auto& [method, entry] : cache_.items()) {
     const bool stale = entry.graph_version != version;
-    const std::uint64_t age =
-        now >= entry.computed_at_us ? now - entry.computed_at_us : 0;
-    if (!stale && age < threshold) continue;
+    if (!stale && entry.age_us(now) < threshold) continue;
 
-    // Skip when any pending batch already covers the key — whatever it
-    // computes supersedes this entry anyway.
-    bool covered = false;
-    for (const auto& [ckey, pending] : pending_) {
-      if (pending->key == key) {
-        covered = true;
-        break;
-      }
-    }
-    if (covered) {
+    // Skip while a batch of the method is pending: it lands a newer entry,
+    // or, if the insert rule keeps this tighter one, the next sweep finds
+    // this entry again.
+    if (std::ranges::any_of(pending_, [m = method](const BatchPtr& b) {
+          return b->method == m;
+        })) {
       m_->refresh_skipped.inc();
       continue;
     }
 
     auto batch = std::make_shared<PendingBatch>();
-    batch->key = key;
+    batch->method = method;
     batch->epsilon = entry.epsilon;
     batch->delta = entry.delta;
     batch->refresh_only = true;
     // Refresh walks have no requesting tenant; they bill to a system
     // context so the ledger still reconciles to zero residue.
-    batch->cost_ctx = cost_open("(refresh)", key.kind, key.method, "refresh");
+    batch->cost_ctx =
+        cost_open("(refresh)", QueryKind::kSize, method, "refresh");
     const std::uint64_t seq = next_seq_++;
     if (!queue_.try_push(batch, kNoDeadline, seq)) {
       m_->refresh_skipped.inc();
       continue;
     }
-    pending_[CoalesceKey{key.kind, key.method, entry.epsilon, entry.delta}] =
-        batch;
+    pending_.push_back(batch);
     ++enqueued;
   }
   update_gauges_locked();

@@ -7,9 +7,10 @@
 //    paper's error formulas (serve/budget.hpp);
 //  * serves from the freshness-aware cache (serve/cache.hpp) when a stored
 //    estimate still satisfies the target at the current topology version;
-//  * coalesces concurrent identical misses into ONE batch (single-flight:
-//    N callers asking the same (kind, method, epsilon, delta) while a
-//    batch is queued all ride that batch — exactly one runs);
+//  * single-flight: a miss rides the earliest-deadline pending batch of its
+//    method that covers its (epsilon, delta) and is queued no later than
+//    its deadline. One Random Tour batch answers both kinds (QueryKind),
+//    so N such callers share exactly one batch;
 //  * admits the rest onto a bounded earliest-deadline-first queue
 //    (runtime/deadline_queue.hpp) and load-sheds when it is full or the
 //    outstanding-step budget is exceeded: the caller gets kRejected with a
@@ -42,7 +43,6 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -115,8 +115,9 @@ struct ServiceConfig {
   MetricsRegistry* metrics = nullptr;
 
   /// Optional accuracy auditor: every landed batch feeds its delivered
-  /// (value, epsilon, delta, version) into the (kind, method) stream. The
-  /// auditor only READS results — bit-identity is untouched. Null = off.
+  /// (value, epsilon, delta, version) into the (kind, method) stream, once
+  /// per kind it answers (both for Random Tour batches). The auditor only
+  /// READS results — bit-identity is untouched. Null = off.
   EstimateAuditor* auditor = nullptr;
 
   /// Deadline objective for the per-class SLO ledger (serve.slo.* family;
@@ -160,8 +161,8 @@ class EstimateService {
   /// One refresher sweep: enqueues waiter-less refresh batches for cached
   /// entries that went version-stale or aged past refresh_at_fraction of
   /// the TTL. Returns how many batches were enqueued. Skips (and counts
-  /// serve.refresh_skipped) when an equivalent batch is already pending or
-  /// the queue is full.
+  /// serve.refresh_skipped) when a batch of the entry's method is already
+  /// pending or the queue is full.
   std::size_t refresh_once();
 
   /// True once at least one batch has completed — the /readyz criterion
@@ -198,7 +199,7 @@ class EstimateService {
 
   /// One queued unit of work: a planned batch plus everyone riding it.
   struct PendingBatch {
-    CacheKey key;
+    EstimateMethod method = EstimateMethod::kRandomTour;
     double epsilon = 0.0;
     double delta = 0.0;
     std::vector<Waiter> waiters;       ///< empty for refresh batches
@@ -213,30 +214,17 @@ class EstimateService {
   };
   using BatchPtr = std::shared_ptr<PendingBatch>;
 
-  /// Single-flight identity: requests coalesce only when they ask the same
-  /// question to the same accuracy.
-  struct CoalesceKey {
-    QueryKind kind;
-    EstimateMethod method;
-    double epsilon;
-    double delta;
-    friend bool operator<(const CoalesceKey& a,
-                          const CoalesceKey& b) noexcept {
-      if (a.kind != b.kind) return a.kind < b.kind;
-      if (a.method != b.method) return a.method < b.method;
-      if (a.epsilon != b.epsilon) return a.epsilon < b.epsilon;
-      return a.delta < b.delta;
-    }
-  };
-
   struct Metrics;  // resolved metric handles (serve.* family)
 
   void broker_loop(ParallelRunner& runner);
   void refresher_loop();
   void process_batch(const BatchPtr& batch, ParallelRunner& runner);
   void run_and_deliver(const BatchPtr& batch, ParallelRunner& runner);
-  EstimateResponse hit_response(const CacheEntry& entry, std::uint64_t age_us,
-                                std::uint64_t admitted_us, bool coalesced);
+  /// kOk response serving `entry` to a `kind` request, as a cache hit.
+  EstimateResponse hit_response(const CacheEntry& entry, QueryKind kind,
+                                std::uint64_t age_us,
+                                std::uint64_t admitted_us, bool coalesced,
+                                std::uint64_t now);
   /// The one funnel every response leaves through: records the request's
   /// class outcome in the SLO ledger, then fulfils the promise. Never call
   /// set_value directly on a request promise.
@@ -265,7 +253,7 @@ class EstimateService {
 
   mutable std::mutex mutex_;
   EstimateCache cache_;                       // guarded by mutex_
-  std::map<CoalesceKey, BatchPtr> pending_;   // guarded by mutex_
+  std::vector<BatchPtr> pending_;             // guarded by mutex_
   std::uint64_t outstanding_steps_ = 0;       // guarded by mutex_
   std::uint64_t next_seq_ = 0;                // guarded by mutex_
   double ewma_batch_us_ = 0.0;                // guarded by mutex_

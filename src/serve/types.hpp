@@ -23,9 +23,11 @@ namespace overcount {
 /// "No deadline": sorts after every real deadline in the EDF queue.
 inline constexpr std::uint64_t kNoDeadline = ~std::uint64_t{0};
 
-/// What is being estimated. Both are Random Tour sums sum_j f(j); Sample &
-/// Collide supports only kSize (its statistic is a collision count, not a
-/// per-node sum).
+/// What is being estimated. Both are Random Tour sums sum_j f(j); with
+/// f = degree a tour adds d_j/d_j = 1 per step, so one size batch also
+/// answers kDegreeSum as d_origin * steps (Prop. 1). The kind picks the
+/// answer, never the batch or cache slot. Sample & Collide answers only
+/// kSize (its statistic is a collision count, not a per-node sum).
 enum class QueryKind : std::uint8_t {
   kSize,       ///< f = 1: the number of peers
   kDegreeSum,  ///< f = degree: sum of degrees (= 2 |E|)
@@ -36,6 +38,11 @@ enum class EstimateMethod : std::uint8_t {
   kRandomTour,     ///< Section 3: return-time tours
   kSampleCollide,  ///< Section 4: CTRW sampling to ell collisions
 };
+
+/// Whether a batch of `method` answers `kind`.
+constexpr bool answers(EstimateMethod method, QueryKind kind) noexcept {
+  return method == EstimateMethod::kRandomTour || kind == QueryKind::kSize;
+}
 
 enum class ServeStatus : std::uint8_t {
   kOk,            ///< estimate delivered
@@ -56,7 +63,9 @@ struct EstimateRequest {
   /// kDeadlineMiss instead of a stale-by-construction estimate.
   std::uint64_t deadline_us = kNoDeadline;
   /// When false, bypasses the cache (and single-flight coalescing) and
-  /// forces a fresh batch; the result still lands in the cache.
+  /// forces a fresh batch; the result still lands in the cache unless an
+  /// unexpired, strictly tighter entry at the same version holds the slot
+  /// (EstimateCache::insert).
   bool allow_cached = true;
   /// Accounting principal for the cost ledger (obs/cost/): every walk
   /// step, handoff, cache hit and queue wait this request causes is

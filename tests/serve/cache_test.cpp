@@ -1,5 +1,6 @@
 // EstimateCache contract: hits require accuracy AND version AND freshness
-// at once; misses are classified; version-stale entries are evicted; the
+// at once; misses are classified; version-stale entries are evicted; a
+// looser insert never evicts a tighter live entry at the same version; the
 // TTL shrinks under observed churn and recovers when churn stops.
 #include "serve/cache.hpp"
 
@@ -8,9 +9,8 @@
 namespace overcount {
 namespace {
 
-CacheKey size_key() {
-  return CacheKey{QueryKind::kSize, EstimateMethod::kRandomTour};
-}
+/// The Random Tour slot, which answers size (and degree-sum) queries.
+EstimateMethod size_key() { return EstimateMethod::kRandomTour; }
 
 CacheEntry entry_at(std::uint64_t version, std::uint64_t now_us,
                     double epsilon = 0.1, double delta = 0.05) {
@@ -110,22 +110,57 @@ TEST(EstimateCache, ChurnShrinksTtlAndQuietRecoversIt) {
   EXPECT_GT(cache.current_ttl_us(), churning_ttl * 4);
 }
 
-TEST(EstimateCache, KeysSeparateKindAndMethod) {
+TEST(EstimateCache, KeysSeparateMethodsButNotKinds) {
   EstimateCache cache;
-  cache.insert(CacheKey{QueryKind::kSize, EstimateMethod::kRandomTour},
-               entry_at(1, 0));
-  EXPECT_FALSE(cache
-                   .find(CacheKey{QueryKind::kDegreeSum,
-                                  EstimateMethod::kRandomTour},
-                         0.2, 0.05, 1, 0)
-                   .hit());
-  EXPECT_FALSE(cache
-                   .find(CacheKey{QueryKind::kSize,
-                                  EstimateMethod::kSampleCollide},
-                         0.2, 0.05, 1, 0)
-                   .hit());
+  CacheEntry tours = entry_at(1, 0);
+  tours.degree_sum = 456.0;
+  cache.insert(EstimateMethod::kRandomTour, tours);
+  // One Random Tour slot answers both kinds from the same batch.
+  const auto hit = cache.find(EstimateMethod::kRandomTour, 0.2, 0.05, 1, 0);
+  ASSERT_TRUE(hit.hit());
+  EXPECT_EQ(hit.entry->answer(QueryKind::kSize), 123.0);
+  EXPECT_EQ(hit.entry->answer(QueryKind::kDegreeSum), 456.0);
+  // Sample & Collide keeps its own slot.
+  EXPECT_EQ(cache.find(EstimateMethod::kSampleCollide, 0.2, 0.05, 1, 0).outcome,
+            CacheOutcome::kMissEmpty);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.items().size(), 1u);
+}
+
+TEST(EstimateCache, LooserInsertKeepsTighterEntryAtSameVersion) {
+  EstimateCache cache;
+  cache.insert(size_key(), entry_at(5, 0, /*epsilon=*/0.3, /*delta=*/0.2));
+  // A looser batch landing later at the same version is not stored: the
+  // tighter entry still answers both requests.
+  CacheEntry looser = entry_at(5, 10, /*epsilon=*/0.4, /*delta=*/0.2);
+  looser.value = 7.0;
+  EXPECT_FALSE(cache.insert(size_key(), looser));
+  ASSERT_NE(cache.peek(size_key()), nullptr);
+  EXPECT_EQ(cache.peek(size_key())->epsilon, 0.3);
+  EXPECT_EQ(cache.peek(size_key())->value, 123.0);
+  EXPECT_TRUE(cache.find(size_key(), 0.3, 0.2, 5, 20).hit());
+  // An equal result replaces the entry (a refresh at the achieved target).
+  CacheEntry equal = entry_at(5, 30, /*epsilon=*/0.3, /*delta=*/0.2);
+  equal.value = 8.0;
+  EXPECT_TRUE(cache.insert(size_key(), equal));
+  EXPECT_EQ(cache.peek(size_key())->value, 8.0);
+  // A newer version replaces it even when looser.
+  CacheEntry newer = entry_at(6, 40, /*epsilon=*/0.4, /*delta=*/0.2);
+  newer.value = 9.0;
+  EXPECT_TRUE(cache.insert(size_key(), newer));
+  EXPECT_EQ(cache.peek(size_key())->graph_version, 6u);
+  EXPECT_EQ(cache.peek(size_key())->value, 9.0);
+}
+
+TEST(EstimateCache, LooserInsertReplacesAnExpiredTighterEntry) {
+  FreshnessPolicy policy;
+  policy.base_ttl_us = 1000;
+  policy.min_ttl_us = 10;
+  EstimateCache cache(policy);
+  cache.insert(size_key(), entry_at(5, 0, /*epsilon=*/0.3, /*delta=*/0.2));
+  CacheEntry looser = entry_at(5, 1500, /*epsilon=*/0.4, /*delta=*/0.2);
+  EXPECT_TRUE(cache.insert(size_key(), looser));
+  EXPECT_EQ(cache.peek(size_key())->epsilon, 0.4);
 }
 
 }  // namespace

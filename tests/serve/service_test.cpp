@@ -1,17 +1,21 @@
 // EstimateService acceptance contract:
 //  (a) a cache hit is bit-identical to the batch result it came from;
-//  (b) N concurrent identical misses coalesce into exactly ONE batch;
+//  (b) N concurrent identical misses coalesce into exactly ONE batch, and
+//      a pending batch that covers a looser request of either kind, queued
+//      no later than its deadline, answers it;
 //  (c) admission control load-sheds (kRejected + retry hint) instead of
 //      queueing unboundedly;
 //  (d) a DynamicGraph version() bump invalidates cached entries;
-// plus deadline handling, request validation, determinism across runner
-// thread counts, several batch loops sharing one queue, and clean shutdown
-// semantics.
+// plus the degree-sum answer of a size batch against the run_tours(f =
+// degree) reference, deadline handling, request validation, determinism
+// across runner thread counts, several batch loops sharing one queue, and
+// clean shutdown semantics.
 #include "serve/service.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -19,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/parallel.hpp"
 #include "graph/dynamic_graph.hpp"
 #include "graph/generators.hpp"
 #include "serve/source.hpp"
@@ -124,6 +129,108 @@ TEST(EstimateService, SingleFlightCoalescesConcurrentIdenticalMisses) {
             static_cast<std::uint64_t>(kCallers - 1));
 }
 
+// A pending tighter batch answers looser requests of both kinds: one batch
+// runs, the riders are flagged coalesced, and a size rider gets the
+// initiator's exact bits.
+TEST(EstimateService, PendingTighterBatchAnswersLooserRequestsOfBothKinds) {
+  const Graph g = complete(16);
+  TestClock clock;
+  EstimateService service(static_graph_source(g), fast_config(clock));
+  service.set_paused(true);
+  auto initiator = service.submit(size_request(0.30));
+  EstimateRequest degree_sum = size_request(0.40);
+  degree_sum.kind = QueryKind::kDegreeSum;
+  auto ds_rider = service.submit(degree_sum);
+  auto size_rider = service.submit(size_request(0.35));
+  EXPECT_EQ(service.queue_depth(), 1u);
+  service.set_paused(false);
+  const EstimateResponse first = initiator.get();
+  const EstimateResponse ds = ds_rider.get();
+  const EstimateResponse size = size_rider.get();
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(ds.ok());
+  ASSERT_TRUE(size.ok());
+  EXPECT_FALSE(first.coalesced);
+  EXPECT_TRUE(ds.coalesced);
+  EXPECT_TRUE(size.coalesced);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(size.value),
+            std::bit_cast<std::uint64_t>(first.value));
+  EXPECT_EQ(ds.walks, first.walks);
+  // Sum of degrees of K16 is 16*15 = 240; generous half-width.
+  EXPECT_NEAR(ds.value, 240.0, 240.0 * ds.epsilon);
+  const auto counters = service.metrics().snapshot();
+  EXPECT_EQ(counters.counter_or_zero("serve.batches"), 1u);
+  EXPECT_EQ(counters.counter_or_zero("serve.coalesced"), 2u);
+}
+
+// A request never rides a batch queued at a later deadline than its own:
+// a deadline request walks its own batch rather than wait behind a
+// best-effort one, and a best-effort request rides the earliest-deadline
+// batch that covers it.
+TEST(EstimateService, RequestRidesOnlyBatchesQueuedNoLaterThanItsDeadline) {
+  const Graph g = complete(16);
+  TestClock clock;
+  EstimateService service(static_graph_source(g), fast_config(clock));
+  service.set_paused(true);
+  auto best_effort = service.submit(size_request(0.30));
+  EstimateRequest urgent = size_request(0.35);
+  urgent.deadline_us = 1'000'000'000;
+  auto deadline = service.submit(urgent);
+  EXPECT_EQ(service.queue_depth(), 2u);
+  auto rider = service.submit(size_request(0.40));  // both batches cover it
+  EXPECT_EQ(service.queue_depth(), 2u);
+  service.set_paused(false);
+  const EstimateResponse first = best_effort.get();
+  const EstimateResponse second = deadline.get();
+  const EstimateResponse third = rider.get();
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(third.ok());
+  EXPECT_FALSE(second.coalesced);
+  EXPECT_TRUE(third.coalesced);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(third.value),
+            std::bit_cast<std::uint64_t>(second.value));
+  const auto counters = service.metrics().snapshot();
+  EXPECT_EQ(counters.counter_or_zero("serve.batches"), 2u);
+}
+
+// The degree-sum answer is derived from a size batch: d_origin times the
+// steps of the completed tours over their count. It must equal the
+// generic-f reference run_tours(f = degree) on the same seed and m bit for
+// bit, including when max_tour_steps truncates some tours.
+TEST(EstimateService, DegreeSumEqualsTheRunToursReferenceBitForBit) {
+  Rng graph_rng(11);
+  const std::vector<Graph> graphs = {barabasi_albert(400, 3, graph_rng),
+                                     balanced_random_graph(400, graph_rng)};
+  for (const Graph& g : graphs) {
+    for (const std::uint64_t max_steps : {~0ULL, 200ULL}) {
+      TestClock clock;
+      ServiceConfig config = fast_config(clock);
+      config.lambda2_hint = 0.5;  // pin the budget; no Lanczos solve
+      config.max_tour_steps = max_steps;
+      EstimateService service(static_graph_source(g), config);
+      EstimateRequest req = size_request(0.3);
+      req.kind = QueryKind::kDegreeSum;
+      const EstimateResponse resp = service.query(req);
+      ASSERT_TRUE(resp.ok());
+      // The first batch of a run draws the first seed of config.seed.
+      Rng seeds(config.seed);
+      ParallelRunner runner(2);
+      const TourBatch ref = run_tours(
+          g, 0, resp.walks,
+          [&g](NodeId v) { return static_cast<double>(g.degree(v)); },
+          seeds.next(), runner, max_steps);
+      ASSERT_TRUE(ref.ok());
+      if (max_steps != ~0ULL) {
+        EXPECT_GT(ref.truncated, 0u) << "the cap must truncate some tours";
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(resp.value),
+                std::bit_cast<std::uint64_t>(ref.mean()))
+          << "max_steps " << max_steps;
+    }
+  }
+}
+
 // Acceptance (c): a full queue load-sheds with kRejected + retry hint;
 // the queue depth never exceeds its bound.
 TEST(EstimateService, AdmissionControlRejectsWhenQueueIsFull) {
@@ -133,11 +240,12 @@ TEST(EstimateService, AdmissionControlRejectsWhenQueueIsFull) {
   config.queue_capacity = 2;
   EstimateService service(static_graph_source(g), config);
   service.set_paused(true);
-  // Distinct epsilons so nothing coalesces: each submission is its own
-  // batch, so the third must be shed, not queued.
-  auto f1 = service.submit(size_request(0.30));
+  // Each epsilon tighter than the last, so no pending batch covers the
+  // next request: each submission is its own batch, so the third must be
+  // shed, not queued.
+  auto f1 = service.submit(size_request(0.32));
   auto f2 = service.submit(size_request(0.31));
-  auto f3 = service.submit(size_request(0.32));
+  auto f3 = service.submit(size_request(0.30));
   const EstimateResponse shed = f3.get();  // resolves immediately
   EXPECT_EQ(shed.status, ServeStatus::kRejected);
   EXPECT_FALSE(shed.ok());
